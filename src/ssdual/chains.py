@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from math import gcd
 
 import numpy as np
-from scipy import stats
 
 from .config import TOL_ROW, TOL_SERIES, UNIFORMIZATION_MARGIN
 from .errors import (
@@ -461,6 +460,8 @@ def ctmc_cdf_oracle(gen: RateGenerator, m0, times) -> np.ndarray | float:
     a truncation tail below ``TOL_SERIES``.  Uses its own uniformization
     margin so that it does not share a discretization with the exact laws.
     """
+    from scipy import stats
+
     require_absorbing(gen)
     ts = np.atleast_1d(np.asarray(times, dtype=float))
     if (ts < 0).any():

@@ -41,6 +41,10 @@ CDF_TAIL = 1e-9
 #: Hard cap on discrete horizons before HorizonExceeded is raised.
 MAX_HORIZON = 10**6
 
+#: Time steps evaluated together by the discrete CDF and the separation scan
+#: (baby steps P^0..P^{B-1}, giant step P^B).  Affects speed and rounding only.
+_BLOCK_STEPS = 64
+
 
 def tol_alg(n: int) -> float:
     """Tolerance for algebraic identities (intertwinings, row sums of derived

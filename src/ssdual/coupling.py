@@ -21,7 +21,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
 
 from .config import MAX_HORIZON, VerifyThresholds
 from .errors import InsufficientSamples, NotStochasticLink
@@ -489,6 +488,8 @@ def _aggregate_continuous(agg: _Aggregate, trace: CouplingTrace, link_rows,
 
 def _chi_square_binned(observed: np.ndarray, probs: np.ndarray, min_expected: float):
     """Chi-square with forward bin merging; returns (stat, pvalue, dof) or None."""
+    from scipy import stats
+
     n = observed.sum()
     if n == 0:
         return None
@@ -710,6 +711,8 @@ def verify(
 
 def _build_report(mode, samples, seed, law, agg, thresholds, exact_mean,
                   thetas, modified, link) -> VerifyReport:
+    from scipy import stats
+
     alpha = thresholds.significance
     times = np.asarray(agg.absorption_times, dtype=float)
     if len(times) == 0:

@@ -1,23 +1,32 @@
 """Exact absorption-time and strong stationary time laws.
 
-Every law here is evaluated through the pure-birth dual: the CDF at t is the
-inner product of the dual's occupation vector at time t (started at level 0,
-advanced through the upper bidiagonal kernel) with the link's target column.
-That single evaluation path covers the closed-form cases (products and
-mixtures of geometrics, hypoexponentials) and the numeric fallback for
-complex or signed spectra; the closed forms are what the kind attribute and
-the sampling routines expose when the spectral data supports them.
+Every law here is evaluated through the pure-birth dual: F(t) = e0 Phat^t w,
+where Phat is the upper bidiagonal dual kernel started at level 0 and w is
+the link's target column.  That single evaluation path covers the closed-form
+cases (products and mixtures of geometrics, hypoexponentials) and the numeric
+fallback for complex or signed spectra; the closed forms are what the kind
+attribute and the sampling routines expose when the spectral data supports
+them.
+
+The CDF is evaluated B time steps at a time (baby-step/giant-step, after
+Paterson and Stockmeyer).  The baby steps R = [w, Phat w, ..., Phat^{B-1} w]
+are formed once per law; block s of the CDF is the row e0 Phat^{sB} times R,
+and the giant step Phat^B, formed only when a second block is needed,
+carries that row to the next block.  The values are kept in an array that
+grows in whole blocks, doubling its length up to MAX_HORIZON; ``cdf`` and
+``pmf`` index it and ``quantile`` searches it.  The values agree with a
+step-by-step recurrence to rounding, not bit for bit.
 
 Discrete laws live on {0, 1, 2, ...}; continuous laws are their Poisson
-mixtures through a uniformization rate.
+mixtures through a uniformization rate, with the Poisson weights of many
+times formed at once.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy import stats
 
-from .config import IMAG_PROB_TOL, MAX_HORIZON, TOL_NONNEG, TOL_SERIES, tol_alg
+from .config import _BLOCK_STEPS, IMAG_PROB_TOL, MAX_HORIZON, TOL_NONNEG, TOL_SERIES, tol_alg
 from .errors import (
     HorizonExceeded,
     ImaginaryResidue,
@@ -51,6 +60,9 @@ __all__ = [
 ]
 
 _POLE_TOL = 1e-12
+
+#: entries of the Poisson weight matrix formed at once by the continuous CDF
+_CHUNK_ENTRIES = 2**16
 
 
 def _real_probability(values: np.ndarray, context: str):
@@ -138,10 +150,10 @@ class DiscreteAbsorptionLaw:
         hold = np.append(np.asarray(thetas, dtype=self._dtype), 1.0)
         self._hold = hold
         self._move = 1.0 - hold
-        v0 = np.zeros(len(w), dtype=self._dtype)
-        v0[0] = 1.0
-        self._occ = v0
-        self._cdf_cache = [complex(v0 @ w) if self._dtype is complex else float(v0 @ w)]
+        self._cdf = np.empty(0, dtype=self._dtype)
+        self._baby = None
+        self._giant = None
+        self._row = None
 
     @property
     def d(self) -> int:
@@ -152,33 +164,72 @@ class DiscreteAbsorptionLaw:
 
     # -- evaluation ----------------------------------------------------
 
-    def _extend(self, t: int) -> None:
-        while len(self._cdf_cache) <= t:
-            v = self._occ
-            nxt = v * self._hold
-            nxt[1:] += v[:-1] * self._move[:-1]
-            self._occ = nxt
-            val = nxt @ self.level_weights
-            self._cdf_cache.append(complex(val) if self._dtype is complex else float(val))
+    def _baby_steps(self) -> np.ndarray:
+        """Columns Phat^k w for k < _BLOCK_STEPS, so that F(sB + k) = e0 Phat^{sB} . column k."""
+        out = np.empty((len(self._hold), _BLOCK_STEPS), dtype=self._dtype)
+        col = self.level_weights.astype(self._dtype)
+        for k in range(_BLOCK_STEPS):
+            out[:, k] = col
+            nxt = col * self._hold
+            nxt[:-1] += self._move[:-1] * col[1:]
+            col = nxt
+        return out
 
-    def _cdf_raw(self, t: int):
-        if t < 0:
-            return 0.0
-        self._extend(t)
-        return self._cdf_cache[t]
+    def _extend(self, t: int) -> None:
+        """Grow the CDF cache to cover step t, in whole blocks, doubling its length.
+
+        The doubling is capped at MAX_HORIZON + 1 entries (rounded up to a
+        block); only an explicit request for a later step goes past it.
+        """
+        have = len(self._cdf)
+        if t < have:
+            return
+        if self._baby is None:
+            self._baby = self._baby_steps()
+        want = max(t + 1, min(2 * have, MAX_HORIZON + 1))
+        # row s is e0 Phat^{sB}, for the blocks s that this call adds
+        rows = np.zeros((-(-(want - have) // _BLOCK_STEPS), len(self._hold)), dtype=self._dtype)
+        if have:
+            rows[0] = self._row @ self._giant_step()
+        else:
+            rows[0, 0] = 1.0
+        for i in range(1, len(rows)):
+            rows[i] = rows[i - 1] @ self._giant_step()
+        self._row = rows[-1]
+        self._cdf = np.concatenate([self._cdf, (rows @ self._baby).ravel()])
+
+    def _giant_step(self) -> np.ndarray:
+        """Phat^B, built on first use so that a single block never pays for it.
+
+        It is built one step at a time rather than by repeated squaring: with
+        a signed or complex spectrum the powers of Phat grow by orders of
+        magnitude before they decay, and squaring loses that many digits.
+        """
+        if self._giant is None:
+            power = np.eye(len(self._hold), dtype=self._dtype)
+            for _ in range(_BLOCK_STEPS):
+                nxt = power * self._hold
+                nxt[:, 1:] += power[:, :-1] * self._move[:-1]
+                power = nxt
+            self._giant = power
+        return self._giant
+
+    def _cdf_at(self, ts: np.ndarray) -> np.ndarray:
+        """Cached F at integer steps, 0 at negative ones."""
+        if ts.size:
+            self._extend(max(int(ts.max()), 0))
+        return np.where(ts >= 0, self._cdf[np.maximum(ts, 0)], 0.0)
 
     def cdf(self, t):
         """P(T <= t) for integer t (scalar or array)."""
         ts = np.atleast_1d(np.asarray(t, dtype=int))
-        vals = np.array([self._cdf_raw(int(x)) for x in ts])
-        vals = _real_probability(vals, "cdf")
+        vals = _real_probability(self._cdf_at(ts), "cdf")
         return float(vals[0]) if np.ndim(t) == 0 else vals
 
     def pmf(self, t):
         """P(T = t) for integer t (scalar or array)."""
         ts = np.atleast_1d(np.asarray(t, dtype=int))
-        vals = np.array([self._cdf_raw(int(x)) - self._cdf_raw(int(x) - 1) for x in ts])
-        vals = _real_probability(vals, "pmf")
+        vals = _real_probability(self._cdf_at(ts) - self._cdf_at(ts - 1), "pmf")
         return float(vals[0]) if np.ndim(t) == 0 else vals
 
     def pgf(self, u, form: str = "product"):
@@ -222,16 +273,16 @@ class DiscreteAbsorptionLaw:
         """Smallest t with F(t) >= q."""
         if not 0.0 <= q < 1.0 + 1e-15:
             raise ValueError("quantile level must be in [0, 1)")
-        t = 1
+        start = 0
         while True:
-            self._extend(min(t, MAX_HORIZON))
-            arr = _real_probability(np.asarray(self._cdf_cache), "cdf")
-            hits = np.nonzero(arr >= q)[0]
+            self._extend(start)
+            stop = min(len(self._cdf), MAX_HORIZON + 1)
+            hits = np.flatnonzero(_real_probability(self._cdf[start:stop], "cdf") >= q)
             if len(hits):
-                return int(hits[0])
-            if t >= MAX_HORIZON:
+                return start + int(hits[0])
+            if stop > MAX_HORIZON:
                 raise HorizonExceeded(f"quantile {q} unreachable within {MAX_HORIZON} steps")
-            t *= 2
+            start = stop
 
     def sample(self, rng: np.random.Generator, size: int | None = None):
         """Draw by structure: mixture index, then independent geometric factors."""
@@ -281,19 +332,33 @@ class ContinuousAbsorptionLaw:
         return f"ContinuousAbsorptionLaw(kind={self.kind!r}, d={self.discrete.d})"
 
     def cdf(self, t):
-        """P(T <= t) as a Poisson-weighted sum of discrete CDF values."""
+        """P(T <= t) as a Poisson-weighted sum of discrete CDF values.
+
+        Each time's Poisson series is cut where its own tail falls below
+        TOL_SERIES, so a time's value does not depend on the other times
+        requested with it.  The weights are formed for many times at once, in
+        chunks of about _CHUNK_ENTRIES.
+        """
+        from scipy import special, stats
+
         ts = np.atleast_1d(np.asarray(t, dtype=float))
         if (ts < 0).any():
             raise ValueError("times must be nonnegative")
         mus = self.rate * ts
-        k_max = int(stats.poisson.isf(TOL_SERIES, mus.max())) if ts.size else 0
-        self.discrete._extend(k_max)
-        f_disc = _real_probability(np.asarray(self.discrete._cdf_cache[: k_max + 1]), "cdf")
-        ks = np.arange(k_max + 1)
+        cuts = stats.poisson.isf(TOL_SERIES, mus).astype(int)
+        k_max = int(cuts.max()) if ts.size else 0
+        f_disc = _real_probability(self.discrete._cdf_at(np.arange(k_max + 1)), "cdf")
+        log_fact = special.gammaln(np.arange(1, k_max + 2))
         out = np.empty(len(ts))
-        for i, mu in enumerate(mus):
-            pmf = stats.poisson.pmf(ks, mu)
-            out[i] = float(pmf @ f_disc + (1.0 - pmf.sum()) * f_disc[-1])
+        step = max(1, _CHUNK_ENTRIES // (k_max + 1))
+        for lo in range(0, len(ts), step):
+            mu, cut = mus[lo : lo + step, None], cuts[lo : lo + step, None]
+            ks = np.arange(cut.max() + 1)
+            # the Poisson pmf as scipy.stats forms it, up to each row's own cut
+            pmf = np.exp(special.xlogy(ks, mu) - log_fact[: len(ks)] - mu)
+            pmf[ks > cut] = 0.0
+            tail = (1.0 - pmf.sum(axis=1)) * f_disc[cut[:, 0]]
+            out[lo : lo + step] = pmf @ f_disc[: len(ks)] + tail
         return float(out[0]) if np.ndim(t) == 0 else out
 
     def laplace(self, s, form: str = "product"):

@@ -1,0 +1,254 @@
+"""Blocked evaluation of CDFs, quantiles and separation against step-by-step references.
+
+The library evaluates F(t) = e0 Phat^t w and m0 P^t a block of B steps at a
+time.  The references below advance one step at a time, as the library did
+before blocking, so any change in the values comes from the order of the
+floating-point sums only.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from ssdual import (
+    DiscreteAbsorptionLaw,
+    HorizonExceeded,
+    TransitionKernel,
+    absorption_law,
+    hypoexp_law,
+    power_cdf_oracle,
+    separation,
+    stationary_law,
+    validate_generator,
+    validate_kernel,
+)
+from ssdual.config import _BLOCK_STEPS as B
+from ssdual.config import CDF_TAIL, MAX_HORIZON
+from ssdual.families import (
+    random_birth_death_kernel,
+    random_ergodic_birth_death,
+    random_initial_law,
+    random_skipfree_generator,
+)
+
+from conftest import BD3_MATRIX, ERG3_MATRIX
+
+#: block edges, and None for the law's 0.999 quantile
+HORIZONS = (0, B - 1, B, B + 1, 3 * B + 7, None)
+
+
+def stepwise_cdf(law: DiscreteAbsorptionLaw, horizon: int) -> np.ndarray:
+    """F(0..horizon) by the pure-birth recurrence, one step at a time."""
+    w = law.level_weights
+    dtype = complex if np.iscomplexobj(w) or np.iscomplexobj(law.thetas) else float
+    hold = np.append(law.thetas, 1.0).astype(dtype)
+    move = 1.0 - hold
+    occ = np.zeros(len(w), dtype=hold.dtype)
+    occ[0] = 1.0
+    out = [occ @ w]
+    for _ in range(horizon):
+        nxt = occ * hold
+        nxt[1:] += occ[:-1] * move[:-1]
+        occ = nxt
+        out.append(occ @ w)
+    return np.real(np.array(out))
+
+
+def stepwise_separation(kernel: TransitionKernel, m0, t_max: int | None):
+    """(s, argmin_state) one step at a time, ties resolved in the target's favour."""
+    pi = stationary_law(kernel)
+    d = kernel.d
+    v = np.zeros(kernel.n) if m0 is None else np.asarray(m0, dtype=float)
+    if m0 is None:
+        v[0] = 1.0
+    s_vals, args = [], []
+    t = 0
+    while True:
+        ratios = v / pi
+        m = ratios.min()
+        s_vals.append(1.0 - m)
+        args.append(d if ratios[d] <= m + 1e-12 * (1.0 + abs(m)) else int(np.argmin(ratios)))
+        if t_max is not None and t >= t_max:
+            break
+        if t_max is None and s_vals[-1] < CDF_TAIL:
+            break
+        v = v @ kernel.matrix
+        t += 1
+    return np.array(s_vals), np.array(args)
+
+
+def _kernel(mat) -> TransitionKernel:
+    return validate_kernel(mat)[0]
+
+
+def bounded_drop_skipfree(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Skip-free kernel with drops of at most three levels: complex spectrum, moderate mean."""
+    mat = np.zeros((n, n))
+    for i in range(n - 1):
+        up = rng.uniform(0.3, 0.6)
+        drop = rng.uniform(0.05, 0.2) if i else 0.0
+        mat[i, i + 1] = up
+        if i:
+            low = max(0, i - 3)
+            spread = rng.random(i - low)
+            mat[i, low:i] = drop * spread / spread.sum()
+        mat[i, i] = 1.0 - up - drop
+    mat[n - 1, n - 1] = 1.0
+    return mat
+
+
+LAW_CHAINS = {
+    "bd3": lambda: TransitionKernel(np.array(BD3_MATRIX)),
+    "lazy_birth_death": lambda: _kernel(random_birth_death_kernel(np.random.default_rng(3), 12, lazy=True)),
+    "signed_birth_death": lambda: _kernel(random_birth_death_kernel(np.random.default_rng(0), 50)),
+    "complex_skipfree": lambda: _kernel(bounded_drop_skipfree(np.random.default_rng(0), 100)),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(LAW_CHAINS))
+def chain_law(request):
+    kernel = LAW_CHAINS[request.param]()
+    return request.param, kernel, absorption_law(kernel)
+
+
+class TestDiscreteBlocks:
+    def test_spectrum_kinds_covered(self, chain_law):
+        name, _, law = chain_law
+        if name == "signed_birth_death":
+            assert not np.iscomplexobj(law.thetas) and law.thetas.min() < 0.0
+        if name == "complex_skipfree":
+            assert np.iscomplexobj(law.thetas)
+        if name in ("bd3", "lazy_birth_death"):
+            assert law.thetas.min() >= 0.0
+
+    @pytest.mark.parametrize("horizon", HORIZONS)
+    def test_matches_stepwise_and_oracle(self, chain_law, horizon):
+        _, kernel, law = chain_law
+        fresh = DiscreteAbsorptionLaw(law.thetas, law.level_weights)
+        if horizon is None:
+            horizon = law.quantile(0.999)
+        blocked = np.atleast_1d(fresh.cdf(np.arange(horizon + 1)))
+        assert np.abs(blocked - stepwise_cdf(law, horizon)).max() <= 1e-12
+        assert np.abs(blocked - power_cdf_oracle(kernel, None, horizon)).max() <= 1e-10
+
+    def test_growth_in_steps_gives_same_cache(self, chain_law):
+        _, _, law = chain_law
+        step = DiscreteAbsorptionLaw(law.thetas, law.level_weights)
+        step.cdf(5)
+        step.cdf(10**4)
+        q = step.quantile(0.999)
+        once = DiscreteAbsorptionLaw(law.thetas, law.level_weights)
+        once.cdf(np.arange(len(step._cdf)))
+        assert len(step._cdf) % B == 0
+        np.testing.assert_array_equal(step._cdf, once._cdf[: len(step._cdf)])
+        assert once.quantile(0.999) == q
+
+    def test_pmf_at_zero_and_negative(self, chain_law):
+        _, _, law = chain_law
+        fresh = DiscreteAbsorptionLaw(law.thetas, law.level_weights)
+        assert fresh.pmf(-3) == 0.0
+        assert fresh.cdf(-1) == 0.0
+        assert fresh.pmf(0) == fresh.cdf(0)
+        np.testing.assert_array_equal(fresh.pmf(np.array([-2, -1])), [0.0, 0.0])
+        pm = fresh.pmf(np.arange(2 * B))
+        assert np.abs(np.cumsum(pm) - stepwise_cdf(law, 2 * B - 1)).max() <= 1e-12
+
+
+def test_empty_grid():
+    law = absorption_law(TransitionKernel(np.array(BD3_MATRIX)))
+    assert law.cdf(np.array([], dtype=int)).shape == (0,)
+
+
+def test_quantile_past_horizon_raises_quickly():
+    # two states, leaving at rate 1e-8 per step: mean 1e8 >> MAX_HORIZON
+    law = DiscreteAbsorptionLaw(np.array([1.0 - 1e-8]), np.array([0.0, 1.0]))
+    start = time.perf_counter()
+    with pytest.raises(HorizonExceeded):
+        law.quantile(1.0 - 1e-6)
+    assert time.perf_counter() - start < 5.0
+    assert MAX_HORIZON < len(law._cdf) <= MAX_HORIZON + B
+    assert law.cdf(MAX_HORIZON) == pytest.approx(1.0 - (1.0 - 1e-8) ** MAX_HORIZON, rel=1e-9)
+
+
+SEPARATION_CHAINS = {
+    "erg3": lambda: TransitionKernel(np.array(ERG3_MATRIX)),
+    "ergodic_bd_6": lambda: _kernel(random_ergodic_birth_death(np.random.default_rng(1), 6)),
+    "ergodic_bd_9": lambda: _kernel(random_ergodic_birth_death(np.random.default_rng(2), 9)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SEPARATION_CHAINS))
+@pytest.mark.parametrize("start", ["point", "spread"])
+class TestSeparationBlocks:
+    @staticmethod
+    def _start(kernel, start):
+        return None if start == "point" else random_initial_law(np.random.default_rng(5), kernel.n)
+
+    @pytest.mark.parametrize("t_max", [0, B - 1, B, 3 * B + 7])
+    def test_fixed_horizon(self, name, start, t_max):
+        kernel = SEPARATION_CHAINS[name]()
+        m0 = self._start(kernel, start)
+        prof = separation(kernel, m0, t_max=t_max)
+        s, args = stepwise_separation(kernel, m0, t_max)
+        assert len(prof.s) == t_max + 1
+        assert np.abs(prof.s - s).max() <= 1e-12
+        np.testing.assert_array_equal(prof.argmin_state, args)
+        assert prof.minimized_at_target == bool(np.all(args == kernel.d))
+
+    def test_scan_stops_at_same_step(self, name, start):
+        kernel = SEPARATION_CHAINS[name]()
+        m0 = self._start(kernel, start)
+        prof = separation(kernel, m0)
+        s, args = stepwise_separation(kernel, m0, None)
+        assert len(prof.s) == len(s)
+        assert prof.s[-1] < CDF_TAIL
+        assert np.abs(prof.s - s).max() <= 1e-12
+        np.testing.assert_array_equal(prof.argmin_state, args)
+
+
+def test_separation_ties_favour_target():
+    # started at stationarity every ratio is 1: the target wins each tie
+    kernel = TransitionKernel(np.array(ERG3_MATRIX))
+    prof = separation(kernel, stationary_law(kernel), t_max=2 * B)
+    assert prof.minimized_at_target
+    assert np.all(prof.argmin_state == kernel.d)
+    # started at the target, the minimizer leaves it and the flag records that
+    prof = separation(kernel, [0.0, 0.0, 1.0], t_max=B + 1)
+    _, args = stepwise_separation(kernel, [0.0, 0.0, 1.0], B + 1)
+    np.testing.assert_array_equal(prof.argmin_state, args)
+    assert not prof.minimized_at_target
+
+
+def test_separation_non_mixing_raises():
+    eps = 1e-8
+    kernel = TransitionKernel(np.array([[1.0 - eps, eps], [eps, 1.0 - eps]]))
+    with pytest.raises(HorizonExceeded):
+        separation(kernel)
+    assert len(separation(kernel, t_max=3 * B + 7).s) == 3 * B + 8
+
+
+def test_continuous_chunks_match_scalar_calls():
+    gen, _ = validate_generator(random_skipfree_generator(np.random.default_rng(4), 6))
+    law = hypoexp_law(gen, random_initial_law(np.random.default_rng(4), 6))
+    # the series runs to k = 84 here, so the 1000 times span two chunks
+    ts = np.linspace(0.0, 3.0 * law.mean(), 1000)
+    batch = law.cdf(ts)
+    single = np.array([law.cdf(float(t)) for t in ts])
+    assert np.abs(batch - single).max() <= 1e-14
+    assert isinstance(law.cdf(1.0), float)
+    assert law.cdf(np.array([])).shape == (0,)
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = "import sys, ssdual; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+    assert out.stdout.strip() == "False"
