@@ -45,6 +45,10 @@ MAX_HORIZON = 10**6
 #: (baby steps P^0..P^{B-1}, giant step P^B).  Affects speed and rounding only.
 _BLOCK_STEPS = 64
 
+#: Coupled traces that ``verify`` simulates together from one Philox stream.
+#: Changing it changes seeded reports; the job count never does.
+_TRACE_BLOCK = 4096
+
 
 def tol_alg(n: int) -> float:
     """Tolerance for algebraic identities (intertwinings, row sums of derived

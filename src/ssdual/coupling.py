@@ -3,13 +3,15 @@
 The couplings realize the conditional-law picture: given the dual's position,
 the primal state is distributed by the corresponding link row, and the dual
 moves one level at a time (discrete skip-free and continuous cases) or through
-the climb-or-jump structure of the modified dual (general case).  Simulation
-uses one counter-based Philox stream per trace, keyed (seed, trace index), so
-results are reproducible and independent of how traces are partitioned across
-workers.
+the climb-or-jump structure of the modified dual (general case).
 
-The verification harness aggregates traces on the fly and applies the gates:
-exact-law KS on absorption times, chi-square on the per-step conditional laws,
+``verify`` simulates its traces in lockstep blocks of ``config._TRACE_BLOCK``;
+each block draws from its own counter-based Philox stream, keyed (seed, block
+index), so results are reproducible for any partition of blocks across
+workers.  The scalar ``simulate_*`` functions are one-trace references.
+
+The harness counts each block into arrays and applies the gates: exact-law
+KS on absorption times, chi-square on the per-step conditional laws,
 chi-square on the largest-level statistic, per-segment climb laws, and
 zero-tolerance structural counts (domination, simultaneous absorption,
 link-support positivity).
@@ -18,15 +20,15 @@ link-support positivity).
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .config import MAX_HORIZON, VerifyThresholds
+from .config import _TRACE_BLOCK, MAX_HORIZON, VerifyThresholds
 from .errors import InsufficientSamples, NotStochasticLink
 from .chains import RateGenerator, TransitionKernel, uniformize
 from .duality import DualKernel, LinkMatrix, ModifiedDual, build_dual, build_link, build_modified_dual
-from .laws import ContinuousAbsorptionLaw, DiscreteAbsorptionLaw, absorption_law, hypoexp_law
+from .laws import absorption_law, hypoexp_law
 from .spectral import eigenvalues, spectral_polynomials
 
 __all__ = [
@@ -39,12 +41,13 @@ __all__ = [
     "verify",
 ]
 
-#: asymptotic Kolmogorov critical constants c_alpha: D_crit = c / sqrt(n)
-_KS_CONSTANTS = {0.10: 1.2238, 0.05: 1.3581, 0.01: 1.6276, 0.001: 1.9495}
-
 
 def trace_stream(seed: int, index: int) -> np.random.Generator:
-    """Counter-based RNG for one trace: Philox keyed by (seed, trace index)."""
+    """Counter-based RNG: Philox keyed by (seed, index).
+
+    ``verify`` draws block ``index`` of its traces from ``trace_stream(seed,
+    index)``; the scalar simulators take one stream per trace.
+    """
     key = np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF), np.uint64(index)], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
@@ -68,25 +71,6 @@ class CouplingTrace:
     hit_horizon: bool
 
 
-class _Uniforms:
-    """Blocked uniform draws from one generator (single stream, fewer calls)."""
-
-    __slots__ = ("rng", "buf", "idx")
-
-    def __init__(self, rng: np.random.Generator, block: int = 64):
-        self.rng = rng
-        self.buf = rng.random(block)
-        self.idx = 0
-
-    def __call__(self) -> float:
-        if self.idx >= len(self.buf):
-            self.buf = self.rng.random(len(self.buf))
-            self.idx = 0
-        v = self.buf[self.idx]
-        self.idx += 1
-        return v
-
-
 def _pick(cum_row: np.ndarray, u: float) -> int:
     j = int(np.searchsorted(cum_row, u, side="right"))
     return min(j, len(cum_row) - 1)
@@ -97,6 +81,28 @@ def _first_hit(path: tuple[int, ...], states) -> int | None:
         if s in states:
             return t
     return None
+
+
+def _trace(primal: list, dual: list, d: int, absorbing, times: list | None = None) -> CouplingTrace:
+    """The CouplingTrace of finished paths; ``times`` holds continuous event epochs."""
+    t_primal = _first_hit(primal, (d,))
+    t_dual = _first_hit(dual, absorbing)
+    if t_dual is None:
+        largest = max(dual)
+    else:
+        largest = max(dual[:t_dual]) if t_dual > 0 else -1
+    if times is not None:  # step indices to event epochs
+        t_primal = None if t_primal is None else times[t_primal]
+        t_dual = None if t_dual is None else times[t_dual]
+    return CouplingTrace(
+        primal_path=tuple(primal),
+        dual_path=tuple(dual),
+        event_times=None if times is None else tuple(times),
+        t_primal=t_primal,
+        t_dual=t_dual,
+        largest_dual=largest,
+        hit_horizon=primal[-1] != d,
+    )
 
 
 def promotion_probability(thetas: np.ndarray, link_rows: np.ndarray, x_hat: int, y: int) -> float:
@@ -141,7 +147,7 @@ def simulate_coupled_discrete(
     cum = np.cumsum(mat, axis=1)
     thetas = dual.thetas.real
     lam = link.rows
-    draw = _Uniforms(rng)
+    draw = rng.random
 
     x = 0
     xh = 0
@@ -159,23 +165,7 @@ def simulate_coupled_discrete(
         dual_states.append(xh)
         steps += 1
 
-    primal_t = tuple(primal)
-    dual_t = tuple(dual_states)
-    t_primal = _first_hit(primal_t, (d,))
-    t_dual = _first_hit(dual_t, (d,))
-    if t_dual is None:
-        largest = max(dual_t)
-    else:
-        largest = max(dual_t[:t_dual]) if t_dual > 0 else -1
-    return CouplingTrace(
-        primal_path=primal_t,
-        dual_path=dual_t,
-        event_times=None,
-        t_primal=t_primal,
-        t_dual=t_dual,
-        largest_dual=largest,
-        hit_horizon=x != d,
-    )
+    return _trace(primal, dual_states, d, (d,))
 
 
 def simulate_coupled_continuous(
@@ -239,25 +229,7 @@ def simulate_coupled_continuous(
         dual_states.append(xh)
         events += 1
 
-    primal_t = tuple(primal)
-    dual_t = tuple(dual_states)
-    ip = _first_hit(primal_t, (d,))
-    idual = _first_hit(dual_t, (d,))
-    t_primal = times[ip] if ip is not None else None
-    t_dual = times[idual] if idual is not None else None
-    if idual is None:
-        largest = max(dual_t)
-    else:
-        largest = max(dual_t[:idual]) if idual > 0 else -1
-    return CouplingTrace(
-        primal_path=primal_t,
-        dual_path=dual_t,
-        event_times=tuple(times),
-        t_primal=t_primal,
-        t_dual=t_dual,
-        largest_dual=largest,
-        hit_horizon=x != d,
-    )
+    return _trace(primal, dual_states, d, (d,), times)
 
 
 def simulate_general_dual(
@@ -281,18 +253,10 @@ def simulate_general_dual(
     pbar = modified.kernel
     absorbing = set(modified.absorbing_states)
     cum = np.cumsum(mat, axis=1)
-    draw = _Uniforms(rng)
+    draw = rng.random
 
     if draw() < modified.initial[d]:
-        return CouplingTrace(
-            primal_path=(d,),
-            dual_path=(d,),
-            event_times=None,
-            t_primal=0,
-            t_dual=0,
-            largest_dual=-1,
-            hit_horizon=False,
-        )
+        return _trace([d], [d], d, absorbing)
     xh = 0
     x = _pick(np.cumsum(lam[0]), draw())
     primal = [x]
@@ -321,23 +285,279 @@ def simulate_general_dual(
         dual_states.append(xh)
         steps += 1
 
-    primal_t = tuple(primal)
-    dual_t = tuple(dual_states)
-    t_primal = _first_hit(primal_t, (d,))
-    t_dual = _first_hit(dual_t, absorbing)
-    if t_dual is None:
-        largest = max(dual_t)
-    else:
-        largest = max(dual_t[:t_dual]) if t_dual > 0 else -1
-    return CouplingTrace(
-        primal_path=primal_t,
-        dual_path=dual_t,
-        event_times=None,
-        t_primal=t_primal,
-        t_dual=t_dual,
-        largest_dual=largest,
-        hit_horizon=x != d,
-    )
+    return _trace(primal, dual_states, d, absorbing)
+
+
+# ---------------------------------------------------------------------------
+# lockstep simulation
+# ---------------------------------------------------------------------------
+
+#: bits of the per-trace structural flags
+_POSITIVITY, _DOMINATION = 1, 2
+
+
+@dataclass
+class _Counts:
+    """What the gates read, counted over the completed traces of whole blocks.
+
+    A trace that hits the horizon adds to ``horizon_hits`` only.  The lists
+    hold one array per block in block order, so counts of consecutive block
+    ranges, merged in order, are the same for any partition.
+    """
+
+    cells: np.ndarray | None  # [t, x_hat, x] over steps 1..t_cap; None in continuous time
+    largest: np.ndarray  # histogram of the largest dual level L, indexed L + 1
+    violations: np.ndarray  # domination, absorption mismatch, positivity
+    horizon_hits: int = 0
+    times: list = field(default_factory=list)  # absorption times, in trace order
+    segments: dict = field(default_factory=dict)  # (L, level) -> climb-segment durations
+
+    def merge(self, other: _Counts) -> None:
+        if self.cells is not None:
+            self.cells += other.cells
+        self.largest += other.largest
+        self.violations += other.violations
+        self.horizon_hits += other.horizon_hits
+        self.times += other.times
+        for key, durs in other.segments.items():
+            self.segments.setdefault(key, []).extend(durs)
+
+
+def _jump_table(rows: np.ndarray) -> np.ndarray:
+    """Cumulative rows of a nonnegative matrix, last column +inf, for ``_pick_rows``."""
+    cum = np.cumsum(rows, axis=1)
+    cum[:, -1] = np.inf
+    return cum
+
+
+def _pick_rows(table: np.ndarray, x: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``_pick(cum[x_i], u_i)`` for every i: the count of cum[x_i] <= u_i, capped at d.
+
+    Cumulative sums of nonnegative entries never decrease, so that count is
+    the first column above u_i, and the +inf last column caps it.
+    """
+    return (table.take(x, axis=0) > u[:, None]).argmax(axis=1)
+
+
+class _Lockstep:
+    """Coupled traces of one chain, simulated a block of traces at a time.
+
+    A block keeps the primal and dual states and the elapsed time of its
+    active traces, and the time each trace's dual left each level; a trace
+    retires when it stops.  Subclasses give ``step(rng, x, x_hat) -> (x,
+    x_hat, elapsed)`` for all active traces at once, and ``start`` when the
+    chains do not both start at 0.  Tables over pairs (x_hat, x) are flat,
+    indexed x_hat * n + x.
+    """
+
+    #: count climb segments only for traces whose dual absorbs
+    absorbed_segments_only = False
+
+    def __init__(self, link_rows: np.ndarray, levels: int, dominated: bool, *,
+                 samples: int, seed: int, horizon: int, t_cap: int):
+        n = self.n = link_rows.shape[0]
+        self.d = n - 1
+        self.link_rows = link_rows
+        #: dual levels below this are transient; segments are recorded for them
+        self.levels = levels
+        self.samples, self.seed, self.horizon, self.t_cap = samples, seed, horizon, t_cap
+        xh, x = np.divmod(np.arange(n * n), n)
+        self.flags = (np.where(link_rows.ravel() <= 0.0, _POSITIVITY, 0)
+                      | np.where(dominated & (x > xh), _DOMINATION, 0)).astype(np.uint8)
+        #: states that end a trace: primal absorption, or (continuous time) a
+        #: state no clock ever leaves, which counts as a horizon hit
+        self.stop = x == self.d
+
+    def start(self, rng: np.random.Generator, size: int):
+        return np.zeros(size, dtype=np.int64), np.zeros(size, dtype=np.int64)
+
+    def count(self, lo: int, hi: int) -> _Counts:
+        """Counts of blocks lo..hi-1."""
+        n = self.n
+        counts = _Counts(np.zeros((self.t_cap + 1, n, n), dtype=np.int64) if self.t_cap else None,
+                         np.zeros(n + 1, dtype=np.int64), np.zeros(3, dtype=np.int64))
+        for block in range(lo, hi):
+            self._run(block, counts)
+        return counts
+
+    def _run(self, block: int, counts: _Counts) -> None:
+        size = min(_TRACE_BLOCK, self.samples - block * _TRACE_BLOCK)
+        rng = trace_stream(self.seed, block)
+        n, d, levels, t_cap = self.n, self.d, self.levels, self.t_cap
+        x, xh = self.start(rng, size)
+        idx = np.arange(size)
+        now = np.zeros(size)
+        flags = np.zeros(size, dtype=np.uint8)
+        left = np.full((size, levels), np.nan)  # when the dual left each level
+        cell = np.full((t_cap, size), -1, dtype=np.int32)  # flat index into counts.cells
+        t_end = np.full(size, np.inf)  # primal absorption time; inf for a horizon hit
+        xh_end = np.zeros(size, dtype=np.int64)
+        t = 0
+        while True:
+            code = xh * n + x
+            flag = self.flags[code]
+            if np.count_nonzero(flag):
+                flags[idx] |= flag
+            if 0 < t <= t_cap:
+                cell[t - 1, idx] = t * n * n + code
+            out = self.stop[code]
+            if np.count_nonzero(out):
+                done = x == d
+                t_end[idx[done]], xh_end[idx[done]] = now[done], xh[done]
+                keep = ~out
+                idx, x, xh, now = idx[keep], x[keep], xh[keep], now[keep]
+            if not idx.size or t == self.horizon:
+                break
+            t += 1
+            y, nxt, dt = self.step(rng, x, xh)
+            now = now + dt
+            climbed = (nxt != xh) & (xh < levels)
+            if np.count_nonzero(climbed):
+                left[idx[climbed], xh[climbed]] = now[climbed]
+            x, xh = y, nxt
+
+        completed = t_end < np.inf
+        counts.horizon_hits += size - int(completed.sum())
+        # Dual paths never descend.  So a level was entered when the dual left
+        # the level it visited before (the start level at 0); the dual absorbed
+        # iff it ended at a level >= levels, when it last left a level; and L
+        # is the highest level it left (-1 if it started absorbed).
+        entered = np.zeros_like(left)
+        entered[:, 1:] = np.fmax.accumulate(left, axis=1)[:, :-1]
+        dur = left - np.nan_to_num(entered)
+        absorbed = xh_end >= levels
+        t_dual = np.fmax.reduce(left, axis=1, initial=0.0)
+        last = np.where(np.isnan(left), -1, np.arange(levels)).max(axis=1, initial=-1)
+        largest = np.where(absorbed, last, xh_end)
+        for i, bad in enumerate((flags & _DOMINATION, ~absorbed | (t_dual != t_end),
+                                 flags & _POSITIVITY)):
+            counts.violations[i] += np.count_nonzero(bad[completed])
+        counts.times.append(t_end[completed])
+        counts.largest += np.bincount(largest[completed] + 1, minlength=n + 1)
+        if counts.cells is not None:
+            cell = cell[:, completed]
+            counts.cells += np.bincount(cell[cell >= 0], minlength=counts.cells.size
+                                        ).reshape(counts.cells.shape)
+        segs = completed & absorbed if self.absorbed_segments_only else completed
+        for big in np.unique(largest[segs]):
+            for level, durs in enumerate(dur[segs & (largest == big)].T):
+                if (durs := durs[~np.isnan(durs)]).size:
+                    counts.segments.setdefault((int(big), level), []).append(durs)
+
+
+class _SkipFree(_Lockstep):
+    """Primal from 0; the dual climbs with its posterior odds (Fill's coupling)."""
+
+    def __init__(self, kernel: TransitionKernel, link: LinkMatrix, dual: DualKernel, **run):
+        super().__init__(link.rows, kernel.d, True, **run)
+        n, d = self.n, self.d
+        self.cum = _jump_table(kernel.matrix)
+        self.thetas = dual.thetas.real
+        # promotion_probability of every (x_hat, y) by the same arithmetic,
+        # NaN where it raises; no climb from d
+        theta = self.thetas[:d, None]
+        up = (1.0 - theta) * link.rows[1:]
+        den = up + theta * link.rows[:-1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            p = up / den
+        p = np.where((den > 0.0) & (p >= -1e-9) & (p <= 1.0 + 1e-9), np.clip(p, 0.0, 1.0), np.nan)
+        p[np.arange(d), np.arange(1, n)] = 1.0
+        self.promote = np.vstack([p, np.zeros(n)]).ravel()
+
+    def step(self, rng, x, xh):
+        u = rng.random((2, x.size))
+        y = _pick_rows(self.cum, x, u[0])
+        p = self.promote[xh * self.n + y]
+        bad = np.isnan(p)
+        if np.count_nonzero(bad):
+            i = bad.argmax()
+            promotion_probability(self.thetas, self.link_rows, int(xh[i]), int(y[i]))  # raises
+        return y, xh + (u[1] < p), 1
+
+
+class _General(_Lockstep):
+    """Primal from m0; the modified dual stays, climbs or jumps to the target.
+
+    The move is drawn over {x_bar, x_bar + 1, d} with weights
+    Pbar(x_bar, c) Lambda_bar(c, y); a climb that would land on d is the jump.
+    """
+
+    def __init__(self, kernel: TransitionKernel, modified: ModifiedDual, **run):
+        lam = modified.link.rows
+        super().__init__(lam, modified.absorbing_start, False, **run)
+        n, d = self.n, self.d
+        pbar = modified.kernel
+        self.cum = _jump_table(kernel.matrix)
+        self.start_cum = np.cumsum(lam[0])
+        self.start_absorbed = modified.initial[d]
+        stay = np.diag(pbar)[:, None] * lam
+        climb, jump = np.zeros((2, n, n))
+        climb[: d - 1] = np.diag(pbar, 1)[: d - 1, None] * lam[1:d]
+        jump[:d] = pbar[:d, d][:, None] * lam[d]
+        total = stay + climb + jump
+        self.stay = stay.ravel()
+        self.upto = (stay + climb).ravel()
+        self.total = np.where(total > 0.0, total, np.nan).ravel()
+
+    def start(self, rng, size):
+        u = rng.random((2, size))
+        absorbed = u[0] < self.start_absorbed
+        x = np.minimum(np.searchsorted(self.start_cum, u[1], side="right"), self.d)
+        return np.where(absorbed, self.d, x), np.where(absorbed, self.d, 0)
+
+    def step(self, rng, x, xh):
+        u = rng.random((2, x.size))
+        y = _pick_rows(self.cum, x, u[0])
+        code = xh * self.n + y
+        v = u[1] * self.total[code]
+        bad = np.isnan(v)
+        if np.count_nonzero(bad):
+            i = bad.argmax()
+            raise NotStochasticLink(
+                f"no admissible dual move from x_bar={xh[i]} given primal state {y[i]}"
+            )
+        nxt = np.where(v < self.stay[code], xh, np.where(v < self.upto[code], xh + 1, self.d))
+        return y, nxt, 1
+
+
+class _Continuous(_Lockstep):
+    """Exponential race of the primal's jump clock and the dual's climb clock."""
+
+    absorbed_segments_only = True
+
+    def __init__(self, gen: RateGenerator, link: LinkMatrix, rates: np.ndarray, **run):
+        super().__init__(link.rows, gen.d, True, **run)
+        n, d, lam = self.n, self.d, link.rows
+        off = np.clip(gen.matrix, 0.0, None)
+        np.fill_diagonal(off, 0.0)
+        cum = np.cumsum(off, axis=1)
+        totals = cum[:, -1].copy()
+        self.cum = cum / np.where(totals > 0, totals, 1.0)[:, None]
+        self.cum[:, -1] = np.inf  # see _pick_rows
+        # mean waiting times: the primal's by x, the dual's by (x_hat, x),
+        # inf for a clock that never rings, NaN where the link has no mass
+        with np.errstate(divide="ignore", invalid="ignore"):
+            self.primal_scale = np.where(totals > 0, 1.0 / totals, np.inf)
+            r = rates[:d, None] * lam[1:] / lam[:d]
+            scale = np.where(lam[:d] > 0.0, np.where(r > 0, 1.0 / r, np.inf), np.nan)
+        self.dual_scale = np.vstack([scale, np.full(n, np.inf)]).ravel()
+        self.stop |= np.isinf(np.tile(self.primal_scale, n)) & np.isinf(self.dual_scale)
+
+    def step(self, rng, x, xh):
+        dual_scale = self.dual_scale[xh * self.n + x]
+        bad = np.isnan(dual_scale)
+        if np.count_nonzero(bad):
+            i = bad.argmax()
+            raise NotStochasticLink(
+                f"conditional state (x_hat={xh[i]}, x={x[i]}) has zero link mass"
+            )
+        e = rng.standard_exponential((2, x.size))
+        e[0] *= self.primal_scale[x]
+        e[1] *= dual_scale
+        e[np.isnan(e)] = np.inf  # a zero draw times a clock that never rings
+        primal = e[0] <= e[1]
+        y = np.where(primal, _pick_rows(self.cum, x, rng.random(x.size)), x)
+        return y, xh + (~primal | (y == xh + 1)), np.minimum(e[0], e[1])
 
 
 # ---------------------------------------------------------------------------
@@ -345,158 +565,15 @@ def simulate_general_dual(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class _Aggregate:
-    """Order-independent accumulators for one batch of traces."""
-
-    absorption_times: list = field(default_factory=list)
-    largest: list = field(default_factory=list)
-    horizon_hits: int = 0
-    domination_violations: int = 0
-    absorption_mismatches: int = 0
-    positivity_violations: int = 0
-    structural_l_violations: int = 0
-    # cell (t, dual_state) -> counts over primal states
-    conditional: dict = field(default_factory=dict)
-    # (l, level) -> list of segment durations (level only, for unconditional modes)
-    segments: dict = field(default_factory=dict)
-
-    def merge(self, other: "_Aggregate") -> None:
-        self.absorption_times.extend(other.absorption_times)
-        self.largest.extend(other.largest)
-        self.horizon_hits += other.horizon_hits
-        self.domination_violations += other.domination_violations
-        self.absorption_mismatches += other.absorption_mismatches
-        self.positivity_violations += other.positivity_violations
-        self.structural_l_violations += other.structural_l_violations
-        for key, counts in other.conditional.items():
-            if key in self.conditional:
-                self.conditional[key] += counts
-            else:
-                self.conditional[key] = counts.copy()
-        for key, durs in other.segments.items():
-            self.segments.setdefault(key, []).extend(durs)
-
-
-def _dual_segments(dual_path: tuple[int, ...], t_end: int) -> list[tuple[int, int]]:
-    """(level, duration) of each completed climb segment up to index t_end."""
-    out = []
-    start = 0
-    for t in range(1, t_end + 1):
-        if dual_path[t] != dual_path[t - 1]:
-            out.append((dual_path[t - 1], t - start))
-            start = t
-    return out
-
-
-def _continuous_segments(dual_path, times, idx_end) -> list[tuple[int, float]]:
-    out = []
-    start = 0.0
-    level = dual_path[0]
-    for t in range(1, idx_end + 1):
-        if dual_path[t] != dual_path[t - 1]:
-            out.append((level, times[t] - start))
-            start = times[t]
-            level = dual_path[t]
-    return out
-
-
-def _aggregate_discrete(agg: _Aggregate, trace: CouplingTrace, link_rows, t_cap: int,
-                        expected_l: int | None, absorbing_start: int) -> None:
-    if trace.hit_horizon:
-        agg.horizon_hits += 1
-        return
-    primal = np.asarray(trace.primal_path)
-    dual = np.asarray(trace.dual_path)
-    if (primal > dual).any():
-        agg.domination_violations += 1
-    if trace.t_primal != trace.t_dual:
-        agg.absorption_mismatches += 1
-    if link_rows[dual, primal].min() <= 0.0:
-        agg.positivity_violations += 1
-    agg.absorption_times.append(trace.t_primal)
-    agg.largest.append(trace.largest_dual)
-    if expected_l is not None and trace.largest_dual != expected_l:
-        agg.structural_l_violations += 1
-    _count_cells(agg, trace, link_rows.shape[1], t_cap)
-    t_dual = trace.t_dual if trace.t_dual is not None else len(trace.dual_path) - 1
-    for level, duration in _dual_segments(trace.dual_path, t_dual):
-        if level < absorbing_start:
-            agg.segments.setdefault((trace.largest_dual, level), []).append(duration)
-
-
-def _count_cells(agg: _Aggregate, trace: CouplingTrace, n: int, t_cap: int) -> None:
-    primal, dual = trace.primal_path, trace.dual_path
-    for t in range(1, min(len(primal) - 1, t_cap) + 1):
-        key = (t, dual[t])
-        counts = agg.conditional.get(key)
-        if counts is None:
-            counts = np.zeros(n, dtype=np.int64)
-            agg.conditional[key] = counts
-        counts[primal[t]] += 1
-
-
-def _aggregate_general(agg: _Aggregate, trace: CouplingTrace, link_rows, t_cap: int,
-                       absorbing_start: int) -> None:
-    # domination does not apply (the modified dual is not ordered above the
-    # primal); the other gates mirror the skip-free case with Lambda_bar rows
-    if trace.hit_horizon:
-        agg.horizon_hits += 1
-        return
-    primal = np.asarray(trace.primal_path)
-    dual = np.asarray(trace.dual_path)
-    if trace.t_primal != trace.t_dual:
-        agg.absorption_mismatches += 1
-    if link_rows[dual, primal].min() <= 0.0:
-        agg.positivity_violations += 1
-    agg.absorption_times.append(trace.t_primal)
-    agg.largest.append(trace.largest_dual)
-    _count_cells(agg, trace, link_rows.shape[1], t_cap)
-    t_dual = trace.t_dual if trace.t_dual is not None else len(trace.dual_path) - 1
-    for level, duration in _dual_segments(trace.dual_path, t_dual):
-        if level < absorbing_start:
-            agg.segments.setdefault((trace.largest_dual, level), []).append(duration)
-
-
-def _aggregate_continuous(agg: _Aggregate, trace: CouplingTrace, link_rows,
-                          expected_l: int | None) -> None:
-    if trace.hit_horizon:
-        agg.horizon_hits += 1
-        return
-    primal = np.asarray(trace.primal_path)
-    dual = np.asarray(trace.dual_path)
-    if (primal > dual).any():
-        agg.domination_violations += 1
-    if trace.t_primal != trace.t_dual:
-        agg.absorption_mismatches += 1
-    if link_rows[dual, primal].min() <= 0.0:
-        agg.positivity_violations += 1
-    agg.absorption_times.append(trace.t_primal)
-    agg.largest.append(trace.largest_dual)
-    if expected_l is not None and trace.largest_dual != expected_l:
-        agg.structural_l_violations += 1
-    d = link_rows.shape[0] - 1
-    idual = None
-    for i, s in enumerate(trace.dual_path):
-        if s == d:
-            idual = i
-            break
-    if idual is not None:
-        for level, duration in _continuous_segments(trace.dual_path, trace.event_times, idual):
-            agg.segments.setdefault((trace.largest_dual, level), []).append(duration)
-
-
 def _chi_square_binned(observed: np.ndarray, probs: np.ndarray, min_expected: float):
-    """Chi-square with forward bin merging; returns (stat, pvalue, dof) or None."""
-    from scipy import stats
-
+    """Chi-square with forward bin merging; returns (stat, dof) or None."""
     n = observed.sum()
     if n == 0:
         return None
     exp = probs * n
     merged_obs, merged_exp = [], []
     acc_o, acc_e = 0.0, 0.0
-    for o, e in zip(observed, exp):
+    for o, e in zip(observed.tolist(), exp.tolist()):  # Python floats: same sums, faster
         acc_o += o
         acc_e += e
         if acc_e >= min_expected:
@@ -513,18 +590,18 @@ def _chi_square_binned(observed: np.ndarray, probs: np.ndarray, min_expected: fl
     dof = len(merged_obs) - 1
     if dof < 1:
         return None
-    merged_obs = np.asarray(merged_obs)
-    merged_exp = np.asarray(merged_exp)
-    stat = float(np.sum((merged_obs - merged_exp) ** 2 / merged_exp))
-    return stat, float(stats.chi2.sf(stat, dof)), dof
+    obs, expected = np.asarray(merged_obs), np.asarray(merged_exp)
+    stat = float(np.sum((obs - expected) ** 2 / expected))
+    return stat, dof
 
 
-def _ks_discrete(samples: np.ndarray, cdf_values: np.ndarray) -> float:
-    """sup_t |ecdf(t) - F(t)| for integer samples; cdf_values covers 0..max."""
-    n = len(samples)
-    counts = np.bincount(samples, minlength=len(cdf_values))
-    ecdf = np.cumsum(counts) / n
-    return float(np.abs(ecdf - cdf_values).max())
+def _bonferroni(pvalues, alpha: float):
+    """(per-test level, smallest p-value, passed) of a family; (None, None, True) if empty."""
+    if not len(pvalues):
+        return None, None, True
+    level = alpha / len(pvalues)
+    smallest = float(min(pvalues))
+    return level, smallest, smallest >= level
 
 
 @dataclass(frozen=True)
@@ -562,29 +639,9 @@ class VerifyReport:
     absorption_times: tuple = ()
 
     def to_dict(self) -> dict:
-        from dataclasses import asdict
-
         out = asdict(self)
         out.pop("absorption_times")
         return out
-
-
-def _simulate_batch(payload, lo: int, hi: int) -> _Aggregate:
-    (mode, kernel, link, dual, modified, gen, rates, m0, seed, horizon,
-     t_cap, expected_l, absorbing_start) = payload
-    agg = _Aggregate()
-    for idx in range(lo, hi):
-        rng = trace_stream(seed, idx)
-        if mode == "skipfree":
-            trace = simulate_coupled_discrete(kernel, link, dual, rng, horizon)
-            _aggregate_discrete(agg, trace, link.rows, t_cap, expected_l, kernel.d)
-        elif mode == "general":
-            trace = simulate_general_dual(kernel, modified, rng, m0, horizon)
-            _aggregate_general(agg, trace, modified.link.rows, t_cap, modified.absorbing_start)
-        else:
-            trace = simulate_coupled_continuous(gen, link, rates, rng, horizon)
-            _aggregate_continuous(agg, trace, link.rows, expected_l)
-    return agg
 
 
 def verify(
@@ -595,7 +652,6 @@ def verify(
     seed: int,
     m0=None,
     law=None,
-    traces=None,
     horizon: int = MAX_HORIZON,
     thresholds: VerifyThresholds = VerifyThresholds(),
     jobs: int = 1,
@@ -609,16 +665,14 @@ def verify(
     mode : str
         Coupling construction to exercise.
     samples, seed : int
-        Monte Carlo size and the base of the per-trace Philox keys.
+        Monte Carlo size and the base of the per-block Philox keys.
     m0 : optional
         Initial law for the general mode.
     law : optional
         Precomputed law (recomputed from the chain when omitted).
-    traces : iterable of CouplingTrace, optional
-        Aggregate existing traces instead of simulating fresh ones.
     jobs : int
-        Worker processes; the per-trace streams make the result identical for
-        any partitioning.
+        Worker processes, each given a run of whole blocks of traces; the
+        per-block streams make the result identical for any job count.
 
     Raises
     ------
@@ -629,92 +683,59 @@ def verify(
     """
     if mode not in ("skipfree", "general", "continuous"):
         raise ValueError(f"unknown mode {mode!r}")
-
-    gen = None
-    kernel = chain
-    rates = None
-    modified = None
-    link = None
-    dual = None
-    if mode == "continuous":
-        if not isinstance(chain, RateGenerator):
-            raise ValueError("continuous mode requires a RateGenerator")
-        gen = chain
-        if law is None:
-            law = hypoexp_law(gen)
-        kern_u, rate = uniformize(gen)
-        spectrum = eigenvalues(kern_u)
-        polys = spectral_polynomials(kern_u, spectrum)
-        link = build_link(kern_u, spectrum, polys, None)
-        rates = rate * (1.0 - spectrum.nonunit.real)
-        if not link.stochastic:
-            raise NotStochasticLink("continuous coupling requires a stochastic link")
-        exact_mean = law.mean()
-        expected_l = gen.d - 1
-        payload = ("continuous", None, link, None, None, gen, rates, None, seed, horizon,
-                   thresholds.conditional_t_cap, expected_l, gen.d)
-        thetas_for_segments = spectrum.nonunit.real
+    continuous = mode == "continuous"
+    chain_type = RateGenerator if continuous else TransitionKernel
+    if not isinstance(chain, chain_type):
+        raise ValueError(f"{mode} mode requires a {chain_type.__name__}")
+    if law is None:
+        law = hypoexp_law(chain) if continuous else absorption_law(
+            chain, m0 if mode == "general" else None)
+    # continuous time has no per-step conditional cells
+    sim, thetas = _coupling(chain, mode, m0, samples=samples, seed=seed, horizon=horizon,
+                            t_cap=0 if continuous else thresholds.conditional_t_cap)
+    blocks = -(-samples // _TRACE_BLOCK)
+    per_job = -(-blocks // max(jobs, 1))
+    spans = [(lo, min(lo + per_job, blocks)) for lo in range(0, blocks, per_job)]
+    if len(spans) > 1:
+        with ProcessPoolExecutor(max_workers=len(spans)) as pool:
+            futures = [pool.submit(sim.count, lo, hi) for lo, hi in spans]
+            counts = futures[0].result()
+            for fut in futures[1:]:
+                counts.merge(fut.result())
     else:
-        if not isinstance(chain, TransitionKernel):
-            raise ValueError(f"{mode} mode requires a TransitionKernel")
-        if law is None:
-            law = absorption_law(kernel, m0 if mode == "general" else None)
-        spectrum = eigenvalues(kernel)
-        polys = spectral_polynomials(kernel, spectrum)
-        if mode == "skipfree":
-            link = build_link(kernel, spectrum, polys, None)
-            dual = build_dual(spectrum)
-            if not link.stochastic:
-                raise NotStochasticLink("discrete coupling requires a stochastic link")
-            expected_l = kernel.d - 1
-            payload = ("skipfree", kernel, link, dual, None, None, None, None, seed, horizon,
-                       thresholds.conditional_t_cap, expected_l, kernel.d)
-        else:
-            link = build_link(kernel, spectrum, polys, m0)
-            modified = build_modified_dual(kernel, link, spectrum, m0)
-            if not modified.stochastic:
-                raise NotStochasticLink("general coupling requires a stochastic modified dual")
-            expected_l = None
-            payload = ("general", kernel, link, None, modified, None, None, m0, seed, horizon,
-                       thresholds.conditional_t_cap, None, modified.absorbing_start)
-        exact_mean = law.mean()
-        thetas_for_segments = spectrum.nonunit.real
+        counts = sim.count(0, blocks)
 
-    agg = _Aggregate()
-    if traces is not None:
-        link_rows = modified.link.rows if mode == "general" else link.rows
-        count = 0
-        for trace in traces:
-            count += 1
-            if mode == "skipfree":
-                _aggregate_discrete(agg, trace, link_rows, thresholds.conditional_t_cap,
-                                    expected_l, kernel.d)
-            elif mode == "general":
-                _aggregate_general(agg, trace, link_rows, thresholds.conditional_t_cap,
-                                   modified.absorbing_start)
-            else:
-                _aggregate_continuous(agg, trace, link_rows, expected_l)
-        samples = count
-    elif jobs > 1:
-        chunk = (samples + jobs - 1) // jobs
-        bounds = [(lo, min(lo + chunk, samples)) for lo in range(0, samples, chunk)]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(_simulate_batch, payload, lo, hi) for lo, hi in bounds]
-            for fut in futures:
-                agg.merge(fut.result())
+    return _build_report(mode, samples, seed, law, counts, thresholds, thetas, sim.link_rows)
+
+
+def _coupling(chain, mode: str, m0, **run) -> tuple[_Lockstep, np.ndarray]:
+    """The lockstep simulator of ``verify``, and the dual's holding probabilities."""
+    continuous = mode == "continuous"
+    kernel, rate = uniformize(chain) if continuous else (chain, None)
+    spectrum = eigenvalues(kernel)
+    link = build_link(kernel, spectrum, spectral_polynomials(kernel, spectrum),
+                      m0 if mode == "general" else None)
+    if mode == "general":
+        modified = build_modified_dual(chain, link, spectrum, m0)
+        if not modified.stochastic:
+            raise NotStochasticLink("general coupling requires a stochastic modified dual")
+        sim = _General(chain, modified, **run)
+    elif not link.stochastic:
+        raise NotStochasticLink(f"{'continuous' if continuous else 'discrete'} coupling "
+                                "requires a stochastic link")
+    elif continuous:
+        sim = _Continuous(chain, link, rate * (1.0 - spectrum.nonunit.real), **run)
     else:
-        agg = _simulate_batch(payload, 0, samples)
-
-    return _build_report(mode, samples, seed, law, agg, thresholds,
-                         exact_mean, thetas_for_segments, modified, link)
+        sim = _SkipFree(chain, link, build_dual(spectrum), **run)
+    return sim, spectrum.nonunit.real
 
 
-def _build_report(mode, samples, seed, law, agg, thresholds, exact_mean,
-                  thetas, modified, link) -> VerifyReport:
+def _build_report(mode, samples, seed, law, counts: _Counts, thresholds,
+                  thetas, link_rows) -> VerifyReport:
     from scipy import stats
 
     alpha = thresholds.significance
-    times = np.asarray(agg.absorption_times, dtype=float)
+    times = np.concatenate(counts.times) if counts.times else np.empty(0)
     if len(times) == 0:
         raise InsufficientSamples("no completed traces to verify")
     empirical_mean = float(times.mean())
@@ -727,66 +748,58 @@ def _build_report(mode, samples, seed, law, agg, thresholds, exact_mean,
         ks_threshold = alpha
         ks_passed = ks_pvalue > alpha
     else:
-        ts = times.astype(np.int64)
-        cdf_vals = law.cdf(np.arange(int(ts.max()) + 1))
-        ks_stat = _ks_discrete(ts, np.atleast_1d(cdf_vals))
-        c_alpha = _KS_CONSTANTS.get(alpha, float(np.sqrt(-np.log(alpha / 2.0) / 2.0)))
-        ks_threshold = c_alpha / np.sqrt(len(ts))
+        # sup_t |ecdf(t) - F(t)| over t = 0..max
+        ecdf = np.cumsum(np.bincount(times.astype(np.int64))) / len(times)
+        ks_stat = float(np.abs(ecdf - law.cdf(np.arange(len(ecdf)))).max())
+        # asymptotic Kolmogorov critical value c_alpha / sqrt(n)
+        ks_threshold = float(np.sqrt(-np.log(alpha / 2.0) / 2.0)) / np.sqrt(len(times))
         ks_pvalue = None
         ks_passed = ks_stat <= ks_threshold
 
     # conditional-law chi-square per (t, dual state) cell
-    link_rows = modified.link.rows if mode == "general" else (link.rows if link else None)
-    cond_results = []
-    if mode != "continuous" and link_rows is not None:
-        for key in sorted(agg.conditional):
-            counts = agg.conditional[key]
-            if counts.sum() < thresholds.min_cell_count:
-                continue
-            probs = np.clip(link_rows[key[1]], 0.0, None)
+    cond_tests = []
+    if counts.cells is not None:
+        occupied = counts.cells.sum(axis=2) >= thresholds.min_cell_count
+        for t, level in zip(*np.nonzero(occupied)):
+            probs = np.clip(link_rows[level], 0.0, None)
             support = probs > 0.0
             if support.sum() < 2:
                 continue
-            res = _chi_square_binned(counts[support], probs[support] / probs[support].sum(),
+            res = _chi_square_binned(counts.cells[t, level][support],
+                                     probs[support] / probs[support].sum(),
                                      thresholds.min_expected)
             if res is not None:
-                cond_results.append(res[1])
+                cond_tests.append(res)
+    # one vectorized survival-function call: the per-call overhead dominates
+    cond_results = stats.chi2.sf(*np.array(cond_tests).T) if cond_tests else []
     conditional_cells = len(cond_results)
-    if conditional_cells:
-        conditional_alpha = alpha / conditional_cells
-        conditional_min_p = float(min(cond_results))
-        conditional_passed = conditional_min_p >= conditional_alpha
-    else:
-        conditional_alpha = None
-        conditional_min_p = None
-        conditional_passed = True
+    conditional_alpha, conditional_min_p, conditional_passed = _bonferroni(cond_results, alpha)
     if mode != "continuous" and conditional_cells == 0:
         raise InsufficientSamples(
             f"no conditional-law cell reached {thresholds.min_cell_count} observations"
         )
 
     # largest-level statistic: chi-square against the mixture weights in
-    # general mode, structural count elsewhere
-    l_stat = None
-    l_pvalue = None
-    l_passed = True
+    # general mode, elsewhere a structural count of traces with L != d - 1
+    domination, mismatches, positivity = (int(v) for v in counts.violations)
+    structural_l = 0 if mode == "general" else len(times) - int(counts.largest[-2])
+    l_stat = l_pvalue = None
+    l_passed = structural_l == 0
     if mode == "general":
-        lvals = np.asarray(agg.largest)
         weights = np.clip(law.weights.real if np.iscomplexobj(law.weights) else law.weights,
                           0.0, None)
-        observed = np.array([(lvals == k - 1).sum() for k in range(len(weights))], dtype=float)
+        observed = counts.largest[: len(weights)].astype(float)
         res = _chi_square_binned(observed, weights / weights.sum(), thresholds.min_expected)
         if res is not None:
-            l_stat, l_pvalue, _ = res
+            l_stat, dof = res
+            l_pvalue = float(stats.chi2.sf(l_stat, dof))
             l_passed = l_pvalue >= alpha
-    else:
-        l_passed = agg.structural_l_violations == 0
 
     # per-segment climb laws: geometric (discrete) or exponential (continuous);
     # discrete segments use the conservative asymptotic Kolmogorov p-value
     seg_results = []
-    for key in sorted(agg.segments):
-        durs = np.asarray(agg.segments[key], dtype=float)
+    for key in sorted(counts.segments):
+        durs = np.concatenate(counts.segments[key])
         if len(durs) < thresholds.min_cell_count:
             continue
         level = key[1]
@@ -802,45 +815,30 @@ def _build_report(mode, samples, seed, law, agg, thresholds, exact_mean,
                 continue
             kmax = int(durs.max())
             cdf_geom = 1.0 - theta ** np.arange(1, kmax + 1)
-            counts = np.bincount(durs.astype(np.int64), minlength=kmax + 1)[1:]
-            ecdf = np.cumsum(counts) / len(durs)
+            hist = np.bincount(durs.astype(np.int64), minlength=kmax + 1)[1:]
+            ecdf = np.cumsum(hist) / len(durs)
             d_seg = float(np.abs(ecdf - cdf_geom).max())
             seg_results.append(float(stats.kstwobign.sf(d_seg * np.sqrt(len(durs)))))
     segments_tested = len(seg_results)
-    if segments_tested:
-        segment_alpha = alpha / segments_tested
-        segment_min_p = float(min(seg_results))
-        segments_passed = segment_min_p >= segment_alpha
-    else:
-        segment_alpha = None
-        segment_min_p = None
-        segments_passed = True
-        if mode == "continuous":
-            raise InsufficientSamples(
-                f"no climb segment reached {thresholds.min_cell_count} observations"
-            )
+    segment_alpha, segment_min_p, segments_passed = _bonferroni(seg_results, alpha)
+    if mode == "continuous" and segments_tested == 0:
+        raise InsufficientSamples(
+            f"no climb segment reached {thresholds.min_cell_count} observations"
+        )
 
-    passed = bool(
-        agg.horizon_hits == 0
-        and agg.domination_violations == 0
-        and agg.absorption_mismatches == 0
-        and agg.positivity_violations == 0
-        and ks_passed
-        and conditional_passed
-        and l_passed
-        and segments_passed
-    )
+    passed = bool(counts.horizon_hits == domination == mismatches == positivity == 0
+                  and ks_passed and conditional_passed and l_passed and segments_passed)
     return VerifyReport(
         mode=mode,
         samples=samples,
         seed=seed,
-        exact_mean=float(exact_mean),
+        exact_mean=float(law.mean()),
         empirical_mean=empirical_mean,
-        horizon_hits=agg.horizon_hits,
-        domination_violations=agg.domination_violations,
-        absorption_mismatches=agg.absorption_mismatches,
-        positivity_violations=agg.positivity_violations,
-        structural_l_violations=agg.structural_l_violations,
+        horizon_hits=counts.horizon_hits,
+        domination_violations=domination,
+        absorption_mismatches=mismatches,
+        positivity_violations=positivity,
+        structural_l_violations=structural_l,
         ks_statistic=ks_stat,
         ks_threshold=float(ks_threshold),
         ks_pvalue=ks_pvalue,

@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigvalsh_tridiagonal
 
 from .config import REALNESS_TOL, TOL_EIG, TOL_NONNEG
 from .errors import EigenFailure
@@ -136,6 +135,9 @@ def eigenvalues(kernel: TransitionKernel, chain_class: ChainClass | None = None)
     structure goes through a symmetric solver, triangular kernels read the
     diagonal, everything else uses the general dense solver.
     """
+    # imported here: scipy.linalg is most of the cost of importing ssdual
+    from scipy.linalg import eigvalsh_tridiagonal
+
     cls = chain_class or classify_kernel(kernel)
     mat = kernel.matrix
     d = kernel.d

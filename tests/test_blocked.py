@@ -246,9 +246,18 @@ def test_continuous_chunks_match_scalar_calls():
     assert law.cdf(np.array([])).shape == (0,)
 
 
-def test_import_leaves_scipy_stats_unloaded():
+def _loaded_by_import(module: str) -> bool:
+    """Whether a fresh ``import ssdual`` loads ``module``."""
     src = Path(__file__).resolve().parents[1] / "src"
-    code = "import sys, ssdual; print('scipy.stats' in sys.modules)"
+    code = f"import sys, ssdual; print({module!r} in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": str(src)}, check=True)
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip() == "True"
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    assert not _loaded_by_import("scipy.stats")
+
+
+def test_import_leaves_scipy_linalg_unloaded():
+    assert not _loaded_by_import("scipy.linalg")

@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
+from scipy import stats
 
 from ssdual import (
     DiscreteAbsorptionLaw,
     InsufficientSamples,
     NotStochasticLink,
     TransitionKernel,
+    absorption_law,
     build_dual,
     build_link,
     build_modified_dual,
@@ -23,8 +27,14 @@ from ssdual import (
     uniformize,
     verify,
 )
+from ssdual import coupling
+from ssdual.config import _TRACE_BLOCK, MAX_HORIZON
+from ssdual.families import random_birth_death_kernel, random_initial_law, random_skipfree_kernel
 
 from test_spectral import COMPLEX4
+
+#: conditional cells compared between the lockstep and the scalar simulators
+T_CELLS = 8
 
 
 def _skipfree_parts(kernel):
@@ -171,3 +181,157 @@ class TestVerify:
         assert "absorption_times" not in d
         assert d["mode"] == "skipfree" and d["samples"] == 2000
         assert len(rep.absorption_times) == 2000
+
+
+def _lockstep(chain, mode, samples, seed, horizon=MAX_HORIZON, m0=None):
+    """Counts of ``verify``'s lockstep simulator, without the gates."""
+    sim, _ = coupling._coupling(chain, mode, m0, samples=samples, seed=seed,
+                                horizon=horizon, t_cap=0 if mode == "continuous" else 64)
+    return sim.count(0, -(-samples // _TRACE_BLOCK))
+
+
+def _reference(chain, mode, samples, seed, m0=None):
+    """Absorption times, [t, x_hat, x] cells up to T_CELLS and L from the scalar simulators."""
+    if mode == "continuous":
+        kernel, rate = uniformize(chain)
+    else:
+        kernel = chain
+    spec = eigenvalues(kernel)
+    link = build_link(kernel, spec, spectral_polynomials(kernel, spec), m0)
+    if mode == "skipfree":
+        dual = build_dual(spec)
+        simulate = lambda rng: simulate_coupled_discrete(chain, link, dual, rng)
+    elif mode == "general":
+        modified = build_modified_dual(chain, link, spec, m0)
+        simulate = lambda rng: simulate_general_dual(chain, modified, rng)
+    else:
+        rates = rate * (1.0 - spec.nonunit.real)
+        simulate = lambda rng: simulate_coupled_continuous(chain, link, rates, rng)
+    n = chain.n
+    times, largest, cells = [], [], np.zeros((T_CELLS + 1, n, n), dtype=np.int64)
+    for idx in range(samples):
+        tr = simulate(trace_stream(seed, idx))
+        assert not tr.hit_horizon
+        times.append(tr.t_primal)
+        largest.append(tr.largest_dual)
+        for t in range(1, min(len(tr.primal_path) - 1, T_CELLS) + 1):
+            cells[t, tr.dual_path[t], tr.primal_path[t]] += 1
+    return np.array(times, dtype=float), cells, np.array(largest)
+
+
+def _homogeneity_pvalue(a: np.ndarray, b: np.ndarray) -> float:
+    """Chi-square p-value that two count vectors share one law (sparse bins dropped)."""
+    table = np.vstack([a.ravel(), b.ravel()])
+    return float(stats.chi2_contingency(table[:, table.sum(axis=0) >= 20])[1])
+
+
+LAZY5 = random_birth_death_kernel(np.random.default_rng(1), 5, lazy=True)
+# a general-mode start that is at the target with probability 0.32, else random
+_rng = np.random.default_rng(0)
+SKIPFREE4, START4 = random_skipfree_kernel(_rng, 4), random_initial_law(_rng, 4)
+
+
+class TestLockstepAgainstReference:
+    """The block simulator and the scalar references agree in distribution."""
+
+    @pytest.mark.parametrize("name, mode", [("bd3", "skipfree"), ("gen3", "general"),
+                                            ("ct21", "continuous"), ("lazy5", "skipfree"),
+                                            ("skipfree4", "general")])
+    def test_same_laws(self, request, name, mode):
+        m0 = START4 if name == "skipfree4" else None
+        chain = {"lazy5": LAZY5, "skipfree4": SKIPFREE4}.get(name)
+        chain = request.getfixturevalue(name) if chain is None else TransitionKernel(chain)
+        ref_times, ref_cells, ref_l = _reference(chain, mode, 3000, seed=21, m0=m0)
+        counts = _lockstep(chain, mode, 2 * _TRACE_BLOCK, seed=22, m0=m0)
+        assert counts.horizon_hits == 0
+        times = np.concatenate(counts.times)
+        assert stats.ks_2samp(ref_times, times).pvalue > 1e-3
+        if mode != "continuous":
+            assert _homogeneity_pvalue(ref_cells[1:], counts.cells[1:T_CELLS + 1]) > 1e-3
+        if mode == "general":
+            ref_hist = np.bincount(ref_l + 1, minlength=chain.n + 1)
+            assert _homogeneity_pvalue(ref_hist, counts.largest) > 1e-3
+        else:
+            assert counts.largest[chain.d] == len(times)  # L = d - 1 on every trace
+
+    def test_job_count_does_not_change_the_report(self, bd3):
+        samples = 2 * _TRACE_BLOCK + 17
+        reports = [verify(bd3, mode="skipfree", samples=samples, seed=8, jobs=jobs)
+                   for jobs in (1, 2, 3)]
+        assert reports[0].to_dict() == reports[1].to_dict() == reports[2].to_dict()
+        assert reports[0].absorption_times == reports[1].absorption_times
+        assert reports[0].absorption_times == reports[2].absorption_times
+        assert len(reports[0].absorption_times) == samples
+
+    def test_horizon_hits_count_each_stuck_trace_once(self, bd3, ct21):
+        samples, horizon = 5000, 4
+        counts = _lockstep(bd3, "skipfree", samples, seed=3, horizon=horizon)
+        times = np.concatenate(counts.times)
+        assert counts.horizon_hits + len(times) == samples
+        assert times.max() <= horizon
+        # cells hold completed traces only: one entry per step up to absorption
+        steps = np.arange(counts.cells.shape[0])
+        assert np.array_equal(counts.cells.sum(axis=(1, 2))[1:],
+                              [(times >= t).sum() for t in steps[1:]])
+        # P(T > 4) = 1 - F(4) for BD3, within five standard errors
+        tail = 1.0 - absorption_law(bd3).cdf(horizon)
+        assert abs(counts.horizon_hits / samples - tail) < 5 * np.sqrt(tail / samples)
+        # a CT21 trace takes exactly two events: the primal's two jumps
+        for events, hits in ((1, 2000), (2, 0)):
+            ct = _lockstep(ct21, "continuous", 2000, seed=3, horizon=events)
+            assert ct.horizon_hits == hits
+            assert sum(map(len, ct.times)) == 2000 - hits
+
+    @pytest.mark.parametrize("mode", ["skipfree", "general", "continuous"])
+    def test_zero_link_mass_raises_in_blocks(self, bd3, gen3, ct21, mode):
+        run = dict(samples=100, seed=0, horizon=MAX_HORIZON, t_cap=64)
+        if mode == "general":
+            spec = eigenvalues(gen3)
+            link = build_link(gen3, spec, spectral_polynomials(gen3, spec), None)
+            mod = build_modified_dual(gen3, link, spec, None)
+            broken = dataclasses.replace(mod, kernel=np.zeros_like(mod.kernel))
+            sim = coupling._General(gen3, broken, **run)
+            reference = lambda: simulate_general_dual(gen3, broken, trace_stream(0, 0))
+        elif mode == "skipfree":
+            spec, link, dual = _skipfree_parts(bd3)
+            rows = link.rows.copy()
+            rows[:2, 0] = 0.0  # (x_hat, y) = (0, 0) has no mass
+            broken = dataclasses.replace(link, rows=rows)
+            sim = coupling._SkipFree(bd3, broken, dual, **run)
+            reference = lambda: simulate_coupled_discrete(bd3, broken, dual, trace_stream(0, 0))
+        else:
+            kernel_u, rate = uniformize(ct21)
+            spec = eigenvalues(kernel_u)
+            link = build_link(kernel_u, spec, spectral_polynomials(kernel_u, spec), None)
+            rows = link.rows.copy()
+            rows[0, 0] = 0.0
+            broken = dataclasses.replace(link, rows=rows)
+            rates = rate * (1.0 - spec.nonunit.real)
+            sim = coupling._Continuous(ct21, broken, rates, **run)
+            reference = lambda: simulate_coupled_continuous(ct21, broken, rates, trace_stream(0, 0))
+        with pytest.raises(NotStochasticLink):
+            reference()
+        with pytest.raises(NotStochasticLink):
+            sim.count(0, 1)
+
+    def test_structural_counts_are_per_trace(self, bd3):
+        # the dual may now reach d from (1, 0) while the primal is short of it;
+        # the primal then sits in (2, 1), where the link has no mass, step after step
+        spec, link, dual = _skipfree_parts(bd3)
+        rows = link.rows.copy()
+        rows[2] = [0.2, 0.0, 0.8]
+        broken = dataclasses.replace(link, rows=rows)
+        sim = coupling._SkipFree(bd3, broken, dual, samples=1000, seed=4,
+                                 horizon=MAX_HORIZON, t_cap=64)
+        counts = sim.count(0, 1)
+        domination, mismatches, positivity = counts.violations
+        visits = counts.cells[:, 2, 1].sum()
+        assert domination == 0
+        assert 0 < positivity == mismatches < visits
+        assert positivity <= 1000 - counts.horizon_hits
+        # the same share of traces as the scalar reference, per trace
+        ref = [simulate_coupled_discrete(bd3, broken, dual, trace_stream(4, idx))
+               for idx in range(1000)]
+        ref_bad = sum(rows[tr.dual_path, tr.primal_path].min() <= 0.0 for tr in ref)
+        assert stats.fisher_exact([[positivity, 1000 - positivity],
+                                   [ref_bad, 1000 - ref_bad]])[1] > 1e-3
