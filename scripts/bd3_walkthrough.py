@@ -24,7 +24,6 @@ from ssdual import (
     eigenvalues,
     mean_absorption_oracle,
     power_cdf_oracle,
-    spectral_polynomials,
     validate_kernel,
     verify,
 )
@@ -40,8 +39,7 @@ def main() -> None:
     spec = eigenvalues(kernel)
     print("\neigenvalues (hold probabilities of the dual):", spec.values.real)
 
-    polys = spectral_polynomials(kernel, spec)
-    link = build_link(kernel, spec, polys, None)
+    link = build_link(kernel, spec, None)
     dual = build_dual(spec)
     print("\nlink rows (law of the primal given the dual level):")
     print(link.rows)

@@ -23,7 +23,6 @@ from ssdual import (
     mixture_weights,
     power_cdf_oracle,
     separation,
-    spectral_polynomials,
     sst_law,
     validate_generator,
     validate_kernel,
@@ -56,8 +55,7 @@ def law_deviation(matrix) -> float:
 def intertwining_residuals(matrix) -> tuple[float, float, float]:
     kernel, _ = validate_kernel(matrix)
     spec = eigenvalues(kernel)
-    polys = spectral_polynomials(kernel, spec)
-    link = build_link(kernel, spec, polys, None)
+    link = build_link(kernel, spec, None)
     dual = build_dual(spec)
     mod = build_modified_dual(kernel, link, spec, None)
     return (
@@ -85,7 +83,7 @@ def sweep(cfg: SweepConfig) -> None:
             link_r, mod_r, init_r = max(link_r, a), max(mod_r, b), max(init_r, c)
             kernel, _ = validate_kernel(mat)
             spec = eigenvalues(kernel)
-            link = build_link(kernel, spec, spectral_polynomials(kernel, spec), None)
+            link = build_link(kernel, spec, None)
             w = mixture_weights(link).weights
             if not np.iscomplexobj(w):
                 neg = min(neg, float(w.min()))

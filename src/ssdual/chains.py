@@ -15,7 +15,6 @@ implementations that the exact laws are tested against.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 
 import numpy as np
 
@@ -223,61 +222,46 @@ def as_initial(m0, n: int) -> np.ndarray:
     return law.vector
 
 
-def _reachable(support: np.ndarray, start: int, reverse: bool = False) -> np.ndarray:
-    """Boolean reachability from ``start`` in the support digraph."""
-    edges = support.T if reverse else support
-    n = support.shape[0]
-    seen = np.zeros(n, dtype=bool)
-    seen[start] = True
+def _levels(edges: np.ndarray, start: int) -> np.ndarray:
+    """Breadth-first distance from ``start`` in the digraph ``edges``, -1 if unreachable.
+
+    A whole frontier is expanded at once: the next frontier is every unseen
+    state that some state of the current one has an edge to.
+    """
+    dist = np.full(edges.shape[0], -1)
+    dist[start] = 0
     frontier = [start]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in np.nonzero(edges[u])[0]:
-                if not seen[v]:
-                    seen[v] = True
-                    nxt.append(int(v))
-        frontier = nxt
-    return seen
+    level = 0
+    while len(frontier):
+        level += 1
+        reach = np.logical_or.reduce(edges[frontier], axis=0)
+        reach &= dist < 0
+        frontier = reach.nonzero()[0]
+        dist[frontier] = level
+    return dist
 
 
-def _is_aperiodic(support: np.ndarray) -> bool:
-    # gcd of (dist[u] + 1 - dist[v]) over all edges, for a strongly connected
-    # support graph; the graph is aperiodic iff the gcd is 1
-    n = support.shape[0]
-    dist = np.full(n, -1)
-    dist[0] = 0
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in np.nonzero(support[u])[0]:
-                if dist[v] < 0:
-                    dist[v] = dist[u] + 1
-                    nxt.append(int(v))
-        frontier = nxt
-    g = 0
-    for u in range(n):
-        for v in np.nonzero(support[u])[0]:
-            g = gcd(g, int(dist[u] + 1 - dist[v]))
-            if g == 1:
-                return True
-    return g == 1
+def _is_aperiodic(u: np.ndarray, v: np.ndarray, dist: np.ndarray) -> bool:
+    # gcd of (dist[u] + 1 - dist[v]) over all edges u -> v, for a strongly
+    # connected support graph with breadth-first levels dist; the graph is
+    # aperiodic iff the gcd is 1
+    return bool(np.gcd.reduce(dist[u] + 1 - dist[v]) == 1)
 
 
 def _classify_support(support: np.ndarray, aperiodicity_matters: bool) -> ChainClass:
     n = support.shape[0]
     d = n - 1
-    upper = np.triu(support, k=2)
-    skip_free_up = not upper.any()
-    lower = np.tril(support, k=-2)
-    birth_death = skip_free_up and not lower.any()
+    u, v = np.nonzero(support)
+    skip_free_up = not (v > u + 1).any()
+    birth_death = skip_free_up and not (u > v + 1).any()
     target_absorbing = not support[d, :d].any()
-    reaches_target = _reachable(support, d, reverse=True)
-    target_accessible = bool(reaches_target.all())
-    irreducible = bool(_reachable(support, 0).all() and _reachable(support, 0, reverse=True).all())
-    ergodic = irreducible and (_is_aperiodic(support) if aperiodicity_matters else True)
-    superdiag_positive = bool(all(support[i, i + 1] for i in range(d)))
+    target_accessible = bool((_levels(support.T, d) >= 0).all())
+    # strongly connected iff every state reaches the target and the target
+    # reaches every state; an absorbing target ends the second search at once
+    dist = _levels(support, d)
+    irreducible = target_accessible and bool((dist >= 0).all())
+    ergodic = irreducible and (_is_aperiodic(u, v, dist) if aperiodicity_matters else True)
+    superdiag_positive = bool(np.diagonal(support, 1).all())
     return ChainClass(
         skip_free_up=skip_free_up,
         birth_death=birth_death,
@@ -302,7 +286,7 @@ def classify_generator(gen: RateGenerator) -> ChainClass:
     np.fill_diagonal(support, False)
     cls = _classify_support(support, aperiodicity_matters=False)
     # an absorbing target has no outgoing rate, hence no self-loop either;
-    # reachability needs target -> target implicitly, which _reachable provides
+    # reachability needs target -> target implicitly, which _levels provides
     return cls
 
 

@@ -301,19 +301,18 @@ def cmd_validate(args) -> int:
 
 
 def _spectrum_parts(loaded: LoadedChain):
-    """Kernel to analyze (uniformized for generators), spectrum, polynomials."""
+    """Kernel to analyze (uniformized for generators), its rate, and spectrum."""
     if loaded.mode == "continuous":
         kernel, rate = uniformize(loaded.chain)
     else:
         kernel, rate = loaded.chain, None
-    spectrum = eigenvalues(kernel)
-    polys = spectral_polynomials(kernel, spectrum)
-    return kernel, rate, spectrum, polys
+    return kernel, rate, eigenvalues(kernel)
 
 
 def cmd_spectrum(args) -> int:
     loaded = load_chain(args.chain)
-    _, rate, spectrum, polys = _spectrum_parts(loaded)
+    kernel, rate, spectrum = _spectrum_parts(loaded)
+    polys = spectral_polynomials(kernel, spectrum)
     classification = classify_spectrum(spectrum, polys)
     summary = _base_summary("spectrum", loaded)
     summary.update(
@@ -339,8 +338,8 @@ def cmd_spectrum(args) -> int:
 
 def cmd_dual(args) -> int:
     loaded = load_chain(args.chain)
-    kernel, rate, spectrum, polys = _spectrum_parts(loaded)
-    link = build_link(kernel, spectrum, polys, loaded.initial)
+    kernel, rate, spectrum = _spectrum_parts(loaded)
+    link = build_link(kernel, spectrum, loaded.initial)
     dual = build_dual(spectrum)
     inter = check_intertwining(link, kernel, dual, powers=(2, 3))
 

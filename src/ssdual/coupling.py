@@ -29,7 +29,7 @@ from .errors import InsufficientSamples, NotStochasticLink
 from .chains import RateGenerator, TransitionKernel, uniformize
 from .duality import DualKernel, LinkMatrix, ModifiedDual, build_dual, build_link, build_modified_dual
 from .laws import absorption_law, hypoexp_law
-from .spectral import eigenvalues, spectral_polynomials
+from .spectral import eigenvalues
 
 __all__ = [
     "CouplingTrace",
@@ -713,8 +713,7 @@ def _coupling(chain, mode: str, m0, **run) -> tuple[_Lockstep, np.ndarray]:
     continuous = mode == "continuous"
     kernel, rate = uniformize(chain) if continuous else (chain, None)
     spectrum = eigenvalues(kernel)
-    link = build_link(kernel, spectrum, spectral_polynomials(kernel, spectrum),
-                      m0 if mode == "general" else None)
+    link = build_link(kernel, spectrum, m0 if mode == "general" else None)
     if mode == "general":
         modified = build_modified_dual(chain, link, spectrum, m0)
         if not modified.stochastic:

@@ -3,7 +3,9 @@
 The central objects:
 
 * the link Lambda, whose row i is m0 Q_i (so row 0 is the initial law), which
-  intertwines the primal kernel with a pure-birth dual:  Lambda P = Phat Lambda;
+  intertwines the primal kernel with a pure-birth dual:  Lambda P = Phat Lambda.
+  Each row follows from the one before in one vector-matrix product, so the
+  link costs O(n^3) time and one n x n array; the matrices Q_i are not formed;
 * the dual kernel Phat, upper bidiagonal with diagonal theta_0..theta_d and
   superdiagonal 1 - theta_i;
 * the mixture weights a_k = Lambda(k, d) - Lambda(k-1, d) (conventions
@@ -26,7 +28,7 @@ import numpy as np
 from .config import _BLOCK_STEPS, CDF_TAIL, MAX_HORIZON, TOL_NONNEG, tol_alg
 from .errors import HorizonExceeded, NotErgodic
 from .chains import TransitionKernel, as_initial, classify_kernel, stationary_law
-from .spectral import SpectralPolynomials, SpectrumReport
+from .spectral import SpectrumReport
 
 __all__ = [
     "LinkMatrix",
@@ -149,21 +151,23 @@ class SeparationProfile:
     minimized_at_target: bool
 
 
-def build_link(
-    kernel: TransitionKernel,
-    spectrum: SpectrumReport,
-    polys: SpectralPolynomials,
-    m0=None,
-) -> LinkMatrix:
-    """Assemble the link whose row i is m0 Q_i.
+def build_link(kernel: TransitionKernel, spectrum: SpectrumReport, m0=None) -> LinkMatrix:
+    """Assemble the link whose row k is m0 Q_k.
 
     Row 0 is the initial law itself; the link is the unique matrix with that
     property intertwining the kernel with the pure-birth dual built from the
-    same eigenvalue order.
+    same eigenvalue order.  Since Q_{k+1} = Q_k (P - theta_k I)/(1 - theta_k),
+    the rows follow by the recurrence
+
+        r_{k+1} = (r_k P - theta_k r_k) / (1 - theta_k),
+
+    that is d vector-matrix products: O(n^3) time and an n x n array.
     """
-    vec = as_initial(m0, kernel.n)
-    rows = np.array([vec @ q for q in polys.mats])
     n = kernel.n
+    rows = np.empty((n, n), dtype=float if spectrum.all_real else complex)
+    rows[0] = as_initial(m0, n)
+    for k, theta in enumerate(spectrum.nonunit):
+        rows[k + 1] = (rows[k] @ kernel.matrix - theta * rows[k]) / (1.0 - theta)
     rowsum = float(np.abs(rows.sum(axis=1) - 1.0).max())
     clamped = 0
     stochastic = False

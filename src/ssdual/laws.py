@@ -48,7 +48,7 @@ from .chains import (
     uniformize,
 )
 from .duality import build_link, check_monotone_reversal, separation
-from .spectral import eigenvalues, spectral_polynomials
+from .spectral import eigenvalues
 
 __all__ = [
     "DiscreteAbsorptionLaw",
@@ -442,8 +442,7 @@ def absorption_law(kernel: TransitionKernel, m0=None) -> DiscreteAbsorptionLaw:
         w[-1] = 1.0
         law = DiscreteAbsorptionLaw(spectrum.nonunit, w)
     else:
-        polys = spectral_polynomials(kernel, spectrum)
-        link = build_link(kernel, spectrum, polys, vec)
+        link = build_link(kernel, spectrum, vec)
         law = DiscreteAbsorptionLaw(spectrum.nonunit, link.rows[:, -1])
         law.link = link
     law.spectrum = spectrum
@@ -490,8 +489,7 @@ def sst_law(kernel: TransitionKernel, m0=None, scan_horizon: int | None = None) 
             )
 
     spectrum = eigenvalues(kernel, cls)
-    polys = spectral_polynomials(kernel, spectrum)
-    link = build_link(kernel, spectrum, polys, vec)
+    link = build_link(kernel, spectrum, vec)
     if link.lower_triangular and _is_delta0(vec):
         w = np.zeros(kernel.n, dtype=link.rows.dtype)
         w[-1] = 1.0

@@ -12,7 +12,10 @@ The spectral polynomials are built by the recurrence
     Q_0 = I,    Q_{k+1} = (Q_k P - theta_k Q_k) / (1 - theta_k),
 
 so Q_k is the product of (P - theta_r I)/(1 - theta_r) over r < k.  Their rows
-sum to one, and Q_d is P-invariant (Q_d P = Q_d).
+sum to one, and Q_d is P-invariant (Q_d P = Q_d).  The (n, n, n) tensor costs
+O(n^4) time, so only the ``spectrum`` command's residuals and the tests build
+it; the link needs only the rows m0 Q_k, which ``duality.build_link`` forms
+directly.
 """
 
 from __future__ import annotations

@@ -33,7 +33,6 @@ from ssdual import (
     mixture_weights,
     power_cdf_oracle,
     separation,
-    spectral_polynomials,
     sst_law,
     validate_generator,
     validate_kernel,
@@ -144,8 +143,7 @@ def test_03_general_mixture_and_weights(mixture_matrices):
         kernel, _ = validate_kernel(matrix)
         worst_dev = max(worst_dev, _law_vs_power_oracle(matrix))
         spec = eigenvalues(kernel)
-        polys = spectral_polynomials(kernel, spec)
-        link = build_link(kernel, spec, polys, None)
+        link = build_link(kernel, spec, None)
         w = mixture_weights(link).weights
         worst_sum = max(worst_sum, abs(float(w.sum()) - 1.0))
         worst_last = max(worst_last, abs(float(w[-1])))
@@ -153,7 +151,7 @@ def test_03_general_mixture_and_weights(mixture_matrices):
 
     gk, _ = validate_kernel(GEN3_MATRIX)
     gs = eigenvalues(gk)
-    glink = build_link(gk, gs, spectral_polynomials(gk, gs), None)
+    glink = build_link(gk, gs, None)
     gw = mixture_weights(glink).weights
     gen3_dev = float(np.abs(gw - np.array([0.0, 1 / 3, 2 / 3, 0.0])).max())
 
@@ -180,8 +178,7 @@ def test_04_intertwinings(skipfree_matrices, mixture_matrices):
     for matrix in [*skipfree_matrices, *mixture_matrices, BD3_MATRIX, GEN3_MATRIX]:
         kernel, _ = validate_kernel(matrix)
         spec = eigenvalues(kernel)
-        polys = spectral_polynomials(kernel, spec)
-        link = build_link(kernel, spec, polys, None)
+        link = build_link(kernel, spec, None)
         dual = build_dual(spec)
         worst_link = max(
             worst_link, check_intertwining(link, kernel, dual).residual
@@ -296,8 +293,7 @@ def test_08_general_dual_gates_gen3():
 def test_09_negative_controls():
     kernel, _ = validate_kernel(BD3_MATRIX)
     spec = eigenvalues(kernel)
-    polys = spectral_polynomials(kernel, spec)
-    link = build_link(kernel, spec, polys, None)
+    link = build_link(kernel, spec, None)
     dual = build_dual(spec)
 
     rows = link.rows.copy()

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import deque
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -27,7 +29,7 @@ from ssdual import (
     validate_generator,
     validate_kernel,
 )
-from ssdual.chains import as_initial, require_absorbing
+from ssdual.chains import ChainClass, _classify_support, as_initial, require_absorbing
 from ssdual.families import random_birth_death_kernel, random_skipfree_kernel
 
 from conftest import BD3_MATRIX, ERG3_MATRIX, GEN3_MATRIX
@@ -193,3 +195,73 @@ def test_random_skipfree_classifies_as_skipfree(seed, n):
 def test_random_birth_death_is_birth_death(seed, n):
     _, cls = validate_kernel(random_birth_death_kernel(np.random.default_rng(seed), n))
     assert cls.birth_death and cls.target_accessible
+
+
+def _bfs_reached(support: np.ndarray, start: int) -> list[bool]:
+    """Plain per-node breadth-first search over the rows of ``support``."""
+    n = len(support)
+    reached = [False] * n
+    reached[start] = True
+    queue = deque([start])
+    while queue:
+        u = queue.popleft()
+        for v in range(n):
+            if support[u, v] and not reached[v]:
+                reached[v] = True
+                queue.append(v)
+    return reached
+
+
+def _reference_class(support: np.ndarray, aperiodicity_matters: bool) -> ChainClass:
+    n = len(support)
+    d = n - 1
+    skip_free_up = not any(support[i, j] for i in range(n) for j in range(i + 2, n))
+    down_skip = any(support[i, j] for j in range(n) for i in range(j + 2, n))
+    irreducible = all(_bfs_reached(support, 0)) and all(_bfs_reached(support.T, 0))
+    # Wielandt: an irreducible digraph is aperiodic iff its adjacency matrix to
+    # the power (n - 1)^2 + 1 is positive everywhere
+    walk = np.eye(n, dtype=bool)
+    for _ in range((n - 1) ** 2 + 1):
+        walk = (walk.astype(int) @ support.astype(int)) > 0
+    return ChainClass(
+        skip_free_up=skip_free_up,
+        birth_death=skip_free_up and not down_skip,
+        target_absorbing=not any(support[d, :d]),
+        target_accessible=all(_bfs_reached(support.T, d)),
+        ergodic=irreducible and (bool(walk.all()) if aperiodicity_matters else True),
+        superdiag_positive=all(support[i, i + 1] for i in range(d)),
+    )
+
+
+def _random_supports():
+    rng = np.random.default_rng(20)
+    yield np.array([[False, True], [True, False]])  # 2-cycle
+    yield np.array([[0, 1, 0, 0], [1, 0, 1, 0], [0, 1, 0, 1], [0, 0, 1, 0]], dtype=bool)  # bipartite
+    yield np.array([[0, 1, 0], [0, 0, 1], [1, 0, 0]], dtype=bool)  # 3-cycle
+    yield np.array([[True]])
+    for _ in range(400):
+        n = int(rng.integers(2, 10))
+        support = rng.random((n, n)) < rng.choice([0.15, 0.3, 0.5, 0.8])
+        kind = rng.integers(4)
+        if kind == 0:  # no self-loops: periodic whenever all cycles share a factor
+            np.fill_diagonal(support, False)
+        elif kind == 1:  # bipartite: even states move to odd ones and back
+            parity = np.arange(n) % 2
+            support &= parity[:, None] != parity[None, :]
+        elif kind == 2:  # absorbing target, often unreachable from some state
+            support[-1] = False
+            support[-1, -1] = True
+            support[:, -1] &= rng.random(n) < 0.3
+        yield support
+
+
+@pytest.mark.parametrize("aperiodicity_matters", [True, False])
+def test_classify_support_matches_per_node_reference(aperiodicity_matters):
+    flags = set()
+    for support in _random_supports():
+        expected = _reference_class(support, aperiodicity_matters)
+        assert _classify_support(support, aperiodicity_matters) == expected, support.astype(int)
+        flags.add((expected.ergodic, expected.target_accessible))
+    # the sample covers ergodic and non-ergodic chains, reachable and unreachable targets
+    assert {e for e, _ in flags} == {True, False}
+    assert {a for _, a in flags} == {True, False}

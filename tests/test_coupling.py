@@ -22,7 +22,6 @@ from ssdual import (
     simulate_coupled_continuous,
     simulate_coupled_discrete,
     simulate_general_dual,
-    spectral_polynomials,
     trace_stream,
     uniformize,
     verify,
@@ -39,8 +38,7 @@ T_CELLS = 8
 
 def _skipfree_parts(kernel):
     spec = eigenvalues(kernel)
-    polys = spectral_polynomials(kernel, spec)
-    link = build_link(kernel, spec, polys, None)
+    link = build_link(kernel, spec, None)
     dual = build_dual(spec)
     return spec, link, dual
 
@@ -91,8 +89,7 @@ class TestCoupledPaths:
     def test_continuous_invariants(self, ct21):
         kernel_u, rate = uniformize(ct21)
         spec = eigenvalues(kernel_u)
-        polys = spectral_polynomials(kernel_u, spec)
-        link = build_link(kernel_u, spec, polys, None)
+        link = build_link(kernel_u, spec, None)
         rates = rate * (1.0 - spec.nonunit.real)
         for idx in range(200):
             tr = simulate_coupled_continuous(ct21, link, rates, trace_stream(2, idx))
@@ -102,8 +99,7 @@ class TestCoupledPaths:
 
     def test_general_dual_absorbs_with_primal(self, gen3):
         spec = eigenvalues(gen3)
-        polys = spectral_polynomials(gen3, spec)
-        link = build_link(gen3, spec, polys, None)
+        link = build_link(gen3, spec, None)
         mod = build_modified_dual(gen3, link, spec, None)
         seen_l = set()
         for idx in range(400):
@@ -197,7 +193,7 @@ def _reference(chain, mode, samples, seed, m0=None):
     else:
         kernel = chain
     spec = eigenvalues(kernel)
-    link = build_link(kernel, spec, spectral_polynomials(kernel, spec), m0)
+    link = build_link(kernel, spec, m0)
     if mode == "skipfree":
         dual = build_dual(spec)
         simulate = lambda rng: simulate_coupled_discrete(chain, link, dual, rng)
@@ -287,7 +283,7 @@ class TestLockstepAgainstReference:
         run = dict(samples=100, seed=0, horizon=MAX_HORIZON, t_cap=64)
         if mode == "general":
             spec = eigenvalues(gen3)
-            link = build_link(gen3, spec, spectral_polynomials(gen3, spec), None)
+            link = build_link(gen3, spec, None)
             mod = build_modified_dual(gen3, link, spec, None)
             broken = dataclasses.replace(mod, kernel=np.zeros_like(mod.kernel))
             sim = coupling._General(gen3, broken, **run)
@@ -302,7 +298,7 @@ class TestLockstepAgainstReference:
         else:
             kernel_u, rate = uniformize(ct21)
             spec = eigenvalues(kernel_u)
-            link = build_link(kernel_u, spec, spectral_polynomials(kernel_u, spec), None)
+            link = build_link(kernel_u, spec, None)
             rows = link.rows.copy()
             rows[0, 0] = 0.0
             broken = dataclasses.replace(link, rows=rows)
