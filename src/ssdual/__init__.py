@@ -78,10 +78,12 @@ from .laws import (
     sst_law,
 )
 from .spectral import (
+    PolynomialResiduals,
     SpectralPolynomials,
     SpectrumReport,
     classify_spectrum,
     eigenvalues,
+    polynomial_residuals,
     spectral_polynomials,
 )
 
@@ -96,8 +98,9 @@ __all__ = [
     # config
     "VerifyThresholds", "tol_alg",
     # spectral
-    "SpectralPolynomials", "SpectrumReport", "classify_spectrum",
-    "eigenvalues", "spectral_polynomials",
+    "PolynomialResiduals", "SpectralPolynomials", "SpectrumReport",
+    "classify_spectrum", "eigenvalues", "polynomial_residuals",
+    "spectral_polynomials",
     # duality
     "DualKernel", "LinkMatrix", "MixtureWeights", "ModifiedDual",
     "SeparationProfile", "build_dual", "build_link", "build_modified_dual",

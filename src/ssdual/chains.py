@@ -337,24 +337,23 @@ def require_absorbing(chain: TransitionKernel | RateGenerator) -> None:
 def stationary_law(kernel: TransitionKernel) -> np.ndarray:
     """Stationary distribution of an ergodic kernel.
 
-    Solves pi (I - P) = 0 with the normalization row appended; raises
-    ``NotErgodic`` for reducible or periodic chains.
+    Grassmann-Taksar-Heyman elimination: the states are censored out from
+    the last to the first, and the probability of leaving state k is taken
+    as the sum of its remaining off-diagonal entries, not as 1 - p(k, k).  No
+    step subtracts, so every entry of pi keeps its relative accuracy, however
+    small it is.  Raises ``NotErgodic`` for reducible or periodic chains.
     """
     cls = classify_kernel(kernel)
     if not cls.ergodic:
         raise NotErgodic("stationary law requires an irreducible aperiodic kernel")
-    n = kernel.n
-    a = np.eye(n) - kernel.matrix.T
-    a[-1, :] = 1.0
-    b = np.zeros(n)
-    b[-1] = 1.0
-    try:
-        pi = np.linalg.solve(a, b)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystem("stationary system is singular") from exc
-    pi = np.clip(pi, 0.0, None)
-    pi /= pi.sum()
-    return pi
+    a = np.array(kernel.matrix)
+    for k in range(kernel.n - 1, 0, -1):
+        a[:k, k] /= a[k, :k].sum()
+        a[:k, :k] += np.outer(a[:k, k], a[k, :k])
+    pi = np.ones(kernel.n)
+    for k in range(1, kernel.n):
+        pi[k] = pi[:k] @ a[:k, k]
+    return pi / pi.sum()
 
 
 def power_cdf_oracle(kernel: TransitionKernel, m0=None, t_max: int = 0) -> np.ndarray:

@@ -57,7 +57,7 @@ from .errors import (
     ValidationError,
 )
 from .laws import absorption_law, hypoexp_law, sst_law
-from .spectral import classify_spectrum, eigenvalues, spectral_polynomials
+from .spectral import classify_spectrum, eigenvalues, polynomial_residuals
 
 __all__ = ["LoadedChain", "load_chain", "load_chain_text", "dump_chain", "main"]
 
@@ -312,7 +312,7 @@ def _spectrum_parts(loaded: LoadedChain):
 def cmd_spectrum(args) -> int:
     loaded = load_chain(args.chain)
     kernel, rate, spectrum = _spectrum_parts(loaded)
-    polys = spectral_polynomials(kernel, spectrum)
+    polys = polynomial_residuals(kernel, spectrum)
     classification = classify_spectrum(spectrum, polys)
     summary = _base_summary("spectrum", loaded)
     summary.update(

@@ -3,9 +3,11 @@
 For a kernel with absorbing target, the relevant spectrum is that of the
 leading principal submatrix P' together with the unit eigenvalue; for an
 ergodic kernel it is the full spectrum with its unique unit eigenvalue.
-Birth-death structure is exploited through the diagonal similarity to a
-symmetric tridiagonal matrix (off-diagonal sqrt(p(i,i+1) p(i+1,i))), and
-triangular kernels read their spectrum off the diagonal.
+A block that satisfies detailed balance (every birth-death block does) is
+similar, through a positive diagonal, to the symmetric matrix with the same
+diagonal and off-diagonal sqrt(p(i,j) p(j,i)), whose eigenvalues come from
+numpy's symmetric solver.  Triangular blocks read their spectrum off the
+diagonal, and all others go to numpy's general dense solver.
 
 The spectral polynomials are built by the recurrence
 
@@ -13,9 +15,10 @@ The spectral polynomials are built by the recurrence
 
 so Q_k is the product of (P - theta_r I)/(1 - theta_r) over r < k.  Their rows
 sum to one, and Q_d is P-invariant (Q_d P = Q_d).  The (n, n, n) tensor costs
-O(n^4) time, so only the ``spectrum`` command's residuals and the tests build
-it; the link needs only the rows m0 Q_k, which ``duality.build_link`` forms
-directly.
+O(n^4) time and 8 n^3 bytes, so only the tests build it, as a reference:
+the ``spectrum`` command's residuals carry one Q_k at a time
+(``polynomial_residuals``), and the link needs only the rows m0 Q_k, which
+``duality.build_link`` forms directly.
 """
 
 from __future__ import annotations
@@ -24,16 +27,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import REALNESS_TOL, TOL_EIG, TOL_NONNEG
+from .config import REALNESS_TOL, TOL_EIG, TOL_NONNEG, TOL_ROW
 from .errors import EigenFailure
 from .chains import ChainClass, TransitionKernel, classify_kernel
 
 __all__ = [
     "SpectrumReport",
     "SpectralPolynomials",
+    "PolynomialResiduals",
     "SpectrumClassification",
     "eigenvalues",
     "spectral_polynomials",
+    "polynomial_residuals",
     "classify_spectrum",
 ]
 
@@ -81,6 +86,19 @@ class SpectralPolynomials:
 
 
 @dataclass(frozen=True, slots=True)
+class PolynomialResiduals:
+    """The health of Q_0..Q_d, without the matrices.
+
+    The same ``nonneg``, ``cayley_residual`` and ``rowsum_residual`` as
+    ``SpectralPolynomials``, from a recurrence that holds one Q_k at a time.
+    """
+
+    nonneg: bool
+    cayley_residual: float
+    rowsum_residual: float
+
+
+@dataclass(frozen=True, slots=True)
 class SpectrumClassification:
     """Which analytic route the spectrum admits."""
 
@@ -89,23 +107,53 @@ class SpectrumClassification:
     diagnosis: str
 
 
-def _symmetrizable_tridiagonal(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """Diagonal and symmetrized off-diagonal of a tridiagonal matrix, or None.
+def _symmetrized(mat: np.ndarray) -> np.ndarray | None:
+    """diag(P) + sqrt(P o P^T) off the diagonal, when P is similar to it; else None.
 
-    Valid whenever super- and subdiagonal entries have products >= 0 and share
-    support (the similarity transform needs sqrt of the products); stochastic
-    birth-death matrices always qualify.
+    P = D^-1 S D for a positive diagonal D exactly when P satisfies detailed
+    balance: its support is symmetric and some potentials pi have
+    pi_i p(i, j) = pi_j p(j, i) on every edge.  A support inside the
+    tridiagonal band (every birth-death block) has no cycle, so potentials
+    exist.  Otherwise the log potentials are summed along a breadth-first
+    spanning forest of the support, and every edge must agree to TOL_ROW,
+    relative, times 1 + 2 max |log pi| for the rounding of those sums.
     """
     n = mat.shape[0]
-    if n == 1:
-        return np.array([mat[0, 0]]), np.zeros(0)
-    if np.any(np.triu(mat, 2) != 0.0) or np.any(np.tril(mat, -2) != 0.0):
+    edges = mat > 0.0
+    np.fill_diagonal(edges, False)
+    if not np.array_equal(edges, edges.T):
         return None
-    sup = np.array([mat[i, i + 1] for i in range(n - 1)])
-    sub = np.array([mat[i + 1, i] for i in range(n - 1)])
-    if ((sup > 0) != (sub > 0)).any():
+    sym = np.sqrt(mat * mat.T)
+    np.fill_diagonal(sym, np.diagonal(mat))
+    if not np.triu(edges, 2).any():
+        return sym
+    parent = np.arange(n)
+    unseen = np.ones(n, dtype=bool)
+    for root in range(n):
+        if not unseen[root]:
+            continue
+        unseen[root] = False
+        queue = [root]
+        for i in queue:  # grows while it is read: breadth-first order
+            new = (edges[i] & unseen).nonzero()[0]
+            unseen[new] = False
+            parent[new] = i
+            queue.extend(new.tolist())
+    states = np.arange(n)
+    roots = parent == states
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_p = np.log(mat)
+        gap = log_p - log_p.T  # log(pi_j / pi_i) on an edge (i, j)
+        # potential of each state against its root, by pointer jumping
+        psi = np.where(roots, 0.0, gap[parent, states])
+        up = parent
+        while not roots[up].all():
+            psi = psi + psi[up]
+            up = up[up]
+        dev = psi[:, None] + gap - psi[None, :]
+    if np.abs(dev[edges]).max(initial=0.0) > TOL_ROW * (1.0 + 2.0 * np.abs(psi).max()):
         return None
-    return np.diag(mat).copy(), np.sqrt(sup * sub)
+    return sym
 
 
 def _canonical_order(vals: np.ndarray) -> np.ndarray:
@@ -134,50 +182,45 @@ def eigenvalues(kernel: TransitionKernel, chain_class: ChainClass | None = None)
     Notes
     -----
     Absorbing target: spectrum of P' plus the unit eigenvalue.  Ergodic:
-    full spectrum with the Perron eigenvalue snapped to 1.  Tridiagonal
-    structure goes through a symmetric solver, triangular kernels read the
-    diagonal, everything else uses the general dense solver.
+    full spectrum with the Perron eigenvalue snapped to 1.  A block that
+    satisfies detailed balance is symmetrized through a positive diagonal
+    and goes to ``np.linalg.eigvalsh`` (route "tridiagonal" for birth-death
+    chains, "symmetric" when the block already is, "reversible" otherwise);
+    triangular blocks read the diagonal; everything else uses the general
+    dense solver.
     """
-    # imported here: scipy.linalg is most of the cost of importing ssdual
-    from scipy.linalg import eigvalsh_tridiagonal
-
     cls = chain_class or classify_kernel(kernel)
     mat = kernel.matrix
     d = kernel.d
 
+    block = mat[:d, :d] if cls.target_absorbing else mat
+    sym = _symmetrized(block)
+    if sym is not None and cls.birth_death:
+        method = "tridiagonal"
+    elif cls.target_absorbing and (not np.tril(block, -1).any() or not np.triu(block, 1).any()):
+        method = "triangular"
+    elif sym is not None:
+        method = "symmetric" if np.array_equal(block, block.T) else "reversible"
+    else:
+        method = "general"
+    if method == "triangular":
+        vals = np.sort(np.diag(block)).astype(complex)
+    elif method == "general":
+        vals = np.linalg.eigvals(block)
+    else:
+        vals = np.linalg.eigvalsh(sym).astype(complex)
+
     if cls.target_absorbing:
-        sub = mat[:d, :d]
-        tri = _symmetrizable_tridiagonal(sub) if cls.birth_death else None
-        if tri is not None:
-            vals = eigvalsh_tridiagonal(*tri).astype(complex)
-            method = "tridiagonal"
-        elif not np.any(np.tril(sub, -1) != 0.0) or not np.any(np.triu(sub, 1) != 0.0):
-            vals = np.sort(np.diag(sub)).astype(complex)
-            method = "triangular"
-        elif np.array_equal(sub, sub.T):
-            vals = np.linalg.eigvalsh(sub).astype(complex)
-            method = "symmetric"
-        else:
-            vals = np.linalg.eigvals(sub)
-            method = "general"
         if np.any(np.abs(vals - 1.0) < 1e-13):
             raise EigenFailure("transient block has a unit eigenvalue; target unreachable")
-        vals = np.append(vals, 1.0 + 0.0j)
     else:
-        tri = _symmetrizable_tridiagonal(mat)
-        if tri is not None:
-            vals = eigvalsh_tridiagonal(*tri).astype(complex)
-            method = "tridiagonal"
-        else:
-            vals = np.linalg.eigvals(mat)
-            method = "general"
         near_unit = np.nonzero(np.abs(vals - 1.0) <= TOL_EIG)[0]
         if len(near_unit) != 1:
             raise EigenFailure(
                 f"expected a unique unit eigenvalue, found {len(near_unit)} within {TOL_EIG}"
             )
         vals = np.delete(vals, near_unit[0])
-        vals = np.append(vals, 1.0 + 0.0j)
+    vals = np.append(vals, 1.0 + 0.0j)
 
     head = vals[:-1]
     real_mask = np.abs(head.imag) <= REALNESS_TOL * (1.0 + np.abs(head))
@@ -229,8 +272,30 @@ def spectral_polynomials(kernel: TransitionKernel, spectrum: SpectrumReport) -> 
     )
 
 
+def polynomial_residuals(kernel: TransitionKernel, spectrum: SpectrumReport) -> PolynomialResiduals:
+    """``spectral_polynomials``' residuals and sign test in O(n^2) memory.
+
+    Runs the same recurrence and keeps only the current Q_k, so every number
+    equals the tensor's bit for bit.
+    """
+    mat = kernel.matrix
+    q = np.eye(kernel.n, dtype=float if spectrum.all_real else complex)
+    rowsum = np.abs(q.sum(axis=1) - 1.0).max()
+    low = q.real.min()
+    for theta in spectrum.nonunit:
+        q = (q @ mat - theta * q) / (1.0 - theta)
+        # np.maximum and np.minimum propagate a NaN, as the tensor's max and min do
+        rowsum = np.maximum(rowsum, np.abs(q.sum(axis=1) - 1.0).max())
+        low = np.minimum(low, q.real.min())
+    return PolynomialResiduals(
+        nonneg=bool(spectrum.all_real and low >= -TOL_NONNEG),
+        cayley_residual=float(np.abs(q @ mat - q).max()),
+        rowsum_residual=float(rowsum),
+    )
+
+
 def classify_spectrum(
-    spectrum: SpectrumReport, polys: SpectralPolynomials
+    spectrum: SpectrumReport, polys: SpectralPolynomials | PolynomialResiduals
 ) -> SpectrumClassification:
     """Decide between the closed-form mixture route and the numeric fallback."""
     real_nonneg = spectrum.all_nonneg_real

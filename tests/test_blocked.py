@@ -8,6 +8,7 @@ floating-point sums only.
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
@@ -261,3 +262,31 @@ def test_import_leaves_scipy_stats_unloaded():
 
 def test_import_leaves_scipy_linalg_unloaded():
     assert not _loaded_by_import("scipy.linalg")
+
+
+def test_discrete_commands_leave_scipy_linalg_and_stats_unloaded(tmp_path):
+    # every discrete command in one fresh interpreter, then its module table
+    for name, matrix in (("bd3", BD3_MATRIX), ("erg3", ERG3_MATRIX)):
+        (tmp_path / f"{name}.json").write_text(
+            json.dumps({"mode": "discrete", "matrix": matrix}), encoding="utf-8")
+    runs = [
+        ["validate", "bd3.json"],
+        ["spectrum", "bd3.json"],
+        ["dual", "erg3.json"],
+        ["absorption", "bd3.json", "--oracle", "--out", "abs"],
+        ["sst", "erg3.json", "--oracle", "--out", "sst"],
+        ["verify", "bd3.json", "--samples", "2000", "--seed", "1"],
+    ]
+    code = (
+        "import contextlib, io, json, sys\n"
+        "from ssdual.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    codes = [main(argv) for argv in {runs!r}]\n"
+        "print(json.dumps([codes, 'scipy.linalg' in sys.modules, 'scipy.stats' in sys.modules]))\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+    codes, linalg, stats = json.loads(out.stdout)
+    assert codes == [0] * len(runs)
+    assert not linalg and not stats

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import warnings
 from collections import deque
 
 import numpy as np
@@ -24,13 +25,19 @@ from ssdual import (
     mean_absorption_ctmc_oracle,
     mean_absorption_oracle,
     power_cdf_oracle,
+    separation,
+    sst_law,
     stationary_law,
     uniformize,
     validate_generator,
     validate_kernel,
 )
 from ssdual.chains import ChainClass, _classify_support, as_initial, require_absorbing
-from ssdual.families import random_birth_death_kernel, random_skipfree_kernel
+from ssdual.families import (
+    random_birth_death_kernel,
+    random_ergodic_birth_death,
+    random_skipfree_kernel,
+)
 
 from conftest import BD3_MATRIX, ERG3_MATRIX, GEN3_MATRIX
 
@@ -132,6 +139,25 @@ class TestStationary:
     def test_not_ergodic_raises(self, bd3):
         with pytest.raises(NotErgodic):
             stationary_law(bd3)
+
+    def test_every_entry_keeps_relative_accuracy(self):
+        # pi spans eleven orders of magnitude; detailed balance gives it exactly
+        mat = random_ergodic_birth_death(np.random.default_rng(0), 200)
+        ratios = np.diagonal(mat, 1) / np.diagonal(mat, -1)
+        exact = np.concatenate([[1.0], np.cumprod(ratios)])
+        exact /= exact.sum()
+        assert exact.min() < 1e-11
+        pi = stationary_law(TransitionKernel(mat))
+        assert np.abs(pi / exact - 1.0).max() <= 1e-13
+
+    def test_sst_law_on_a_wide_stationary_law(self):
+        kernel = TransitionKernel(random_ergodic_birth_death(np.random.default_rng(0), 200))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            law = sst_law(kernel)
+            profile = separation(kernel, t_max=20_000)
+        ts = np.arange(20_001)
+        assert np.abs(law.cdf(ts) - (1.0 - profile.s)).max() <= 1e-10
 
 
 class TestOracles:

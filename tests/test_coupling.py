@@ -331,3 +331,27 @@ class TestLockstepAgainstReference:
         ref_bad = sum(rows[tr.dual_path, tr.primal_path].min() <= 0.0 for tr in ref)
         assert stats.fisher_exact([[positivity, 1000 - positivity],
                                    [ref_bad, 1000 - ref_bad]])[1] > 1e-3
+
+
+class TestGateStatistics:
+    """The gates' p-values are scipy.stats' own, without its wrappers."""
+
+    def test_special_functions_equal_the_distributions(self):
+        from scipy.special import chdtrc, kolmogorov
+
+        x = np.concatenate([[0.0], np.geomspace(1e-3, 400.0, 400)])
+        for dof in (1, 2, 3, 7, 40, 113):
+            assert np.array_equal(chdtrc(float(dof), x), stats.chi2.sf(x, dof))
+        dofs = np.repeat(np.arange(1.0, 9.0), 50)
+        xs = np.resize(x[1:], len(dofs))
+        assert np.array_equal(chdtrc(dofs, xs), stats.chi2.sf(xs, dofs))
+        y = np.linspace(0.0, 3.0, 601)
+        assert np.array_equal(kolmogorov(y), stats.kstwobign.sf(y))
+
+    @pytest.mark.parametrize("n", [1, 2, 50, 3000])
+    def test_ks_two_sided_equals_kstest(self, n):
+        rng = np.random.default_rng(n)
+        x = rng.exponential(0.7, n)
+        cdf = lambda t: 1.0 - np.exp(-t / 0.75)  # noqa: E731
+        res = stats.kstest(x, cdf)
+        assert coupling._ks_two_sided(x, cdf) == (float(res.statistic), float(res.pvalue))

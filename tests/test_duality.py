@@ -101,8 +101,6 @@ def test_complex_link_no_less_accurate_than_tensor():
 
 
 def test_link_route_memory_is_quadratic():
-    import scipy.linalg  # noqa: F401  (eigenvalues imports it lazily; keep that out of the trace)
-
     kernel, m0 = _reversible_random_start(300)
     tracemalloc.start()
     try:

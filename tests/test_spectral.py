@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,14 +14,17 @@ from ssdual import (
     TransitionKernel,
     classify_spectrum,
     eigenvalues,
+    polynomial_residuals,
     spectral_polynomials,
     stationary_law,
     validate_kernel,
 )
 from ssdual.families import (
+    random_birth_death_kernel,
     random_ergodic_birth_death,
     random_reversible_absorbing_kernel,
     random_skipfree_kernel,
+    random_upper_triangular_kernel,
 )
 
 from conftest import BD3_THETAS
@@ -66,6 +71,74 @@ class TestEigenvalues:
         assert vals[0] == pytest.approx(-0.375 - 0.649519052838329j, abs=1e-12)
         assert vals[1] == pytest.approx(-0.375 + 0.649519052838329j, abs=1e-12)
         assert vals[2] == pytest.approx(0.9 + 0.0j, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [50, 200])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_dense_detailed_balance_reversible_route(self, n, seed):
+        kernel = TransitionKernel(random_reversible_absorbing_kernel(np.random.default_rng(seed), n))
+        spec = eigenvalues(kernel)
+        assert spec.method == "reversible"
+        reference = np.sort(np.linalg.eigvals(kernel.matrix[:-1, :-1]).real)
+        assert np.abs(spec.nonunit - reference).max() <= 1e-12
+
+    def test_ergodic_dense_detailed_balance_reversible_route(self):
+        # pi_i p(i, j) = pi_j p(j, i) with weights w symmetric: p(i, j) = w_ij / pi_i
+        rng = np.random.default_rng(3)
+        w = rng.uniform(0.1, 1.0, size=(30, 30))
+        w = w + w.T
+        mat = w / w.sum(axis=1)[:, None]
+        kernel = TransitionKernel(mat)
+        spec = eigenvalues(kernel)
+        assert spec.method == "reversible"
+        reference = np.sort(np.linalg.eigvals(kernel.matrix).real)
+        assert np.abs(spec.values - reference).max() <= 1e-12
+
+    @pytest.mark.parametrize("skew", [0.0, 1e-9])
+    def test_ring_is_reversible_only_with_balanced_products(self, skew):
+        # an ergodic ring of 9 states: its breadth-first tree is 4 levels deep,
+        # and detailed balance needs the products around the ring to agree
+        rng = np.random.default_rng(5)
+        n = 9
+        w = np.zeros((n, n))
+        for i in range(n):
+            w[i, (i + 1) % n] = w[(i + 1) % n, i] = rng.uniform(0.1, 1.0)
+        pi = 10.0 ** rng.uniform(-3.0, 3.0, n)
+        mat = w / pi[:, None]
+        mat /= 1.1 * mat.sum(axis=1).max()
+        mat[0, 1] *= 1.0 + skew
+        np.fill_diagonal(mat, 1.0 - mat.sum(axis=1))
+        kernel = TransitionKernel(mat)
+        spec = eigenvalues(kernel)
+        assert spec.method == ("reversible" if skew == 0.0 else "general")
+        reference = np.sort(np.linalg.eigvals(kernel.matrix).real)
+        assert np.abs(spec.values.real - reference).max() <= 1e-12
+
+    def test_cycle_breaking_kolmogorov_goes_general(self):
+        # symmetric support on the 3-cycle 0 -> 1 -> 2 -> 0, but the products
+        # around it differ in the two directions: no detailed balance
+        mat = np.array([
+            [0.4, 0.3, 0.1, 0.2],
+            [0.1, 0.4, 0.3, 0.2],
+            [0.3, 0.1, 0.4, 0.2],
+            [0.0, 0.0, 0.0, 1.0],
+        ])
+        spec = eigenvalues(TransitionKernel(mat))
+        assert spec.method == "general"
+        reference = np.linalg.eigvals(mat[:3, :3])
+        assert np.abs(np.sort_complex(spec.nonunit) - np.sort_complex(reference)).max() < 1e-14
+
+    def test_cycle_with_equal_products_is_reversible(self):
+        # the same support with balanced products: pi = (1, 2, 4) / 7
+        mat = np.array([
+            [0.4, 0.2, 0.2, 0.2],
+            [0.1, 0.4, 0.3, 0.2],
+            [0.05, 0.15, 0.6, 0.2],
+            [0.0, 0.0, 0.0, 1.0],
+        ])
+        spec = eigenvalues(TransitionKernel(mat))
+        assert spec.method == "reversible"
+        reference = np.sort(np.linalg.eigvals(mat[:3, :3]).real)
+        assert np.abs(spec.nonunit - reference).max() < 1e-14
 
     def test_erg3_unit_snapped_exactly(self, erg3):
         spec = eigenvalues(erg3)
@@ -121,6 +194,40 @@ class TestSpectralPolynomials:
         polys = spectral_polynomials(k, spec)
         assert polys.cayley_residual < 1e-10
         assert polys.rowsum_residual < 1e-10
+
+
+def _residual_cases():
+    rng = np.random.default_rng(7)
+    for family in (random_birth_death_kernel, random_skipfree_kernel,
+                   random_upper_triangular_kernel, random_reversible_absorbing_kernel,
+                   random_ergodic_birth_death):
+        for n in (3, 12, 40):
+            yield TransitionKernel(family(rng, n))
+    yield TransitionKernel(COMPLEX4)
+
+
+@pytest.mark.parametrize("kernel", list(_residual_cases()))
+def test_streamed_residuals_equal_the_tensor(kernel):
+    spec = eigenvalues(kernel)
+    tensor = spectral_polynomials(kernel, spec)
+    streamed = polynomial_residuals(kernel, spec)
+    assert streamed.nonneg == tensor.nonneg
+    assert streamed.cayley_residual == tensor.cayley_residual
+    assert streamed.rowsum_residual == tensor.rowsum_residual
+
+
+def test_streamed_residuals_memory_is_quadratic():
+    kernel = TransitionKernel(random_reversible_absorbing_kernel(np.random.default_rng(0), 300))
+    spec = eigenvalues(kernel)
+    tracemalloc.start()
+    try:
+        res = polynomial_residuals(kernel, spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res.nonneg and res.rowsum_residual < 1e-12
+    # the (n, n, n) tensor of Q_0..Q_d alone would take 8 n^3 bytes = 216 MB
+    assert peak < 16e6
 
 
 class TestClassifySpectrum:
