@@ -17,14 +17,11 @@ import json
 import numpy as np
 
 from ssdual import (
-    absorption_law,
-    build_dual,
-    build_link,
+    Analysis,
+    TransitionKernel,
     check_intertwining,
-    eigenvalues,
     mean_absorption_oracle,
     power_cdf_oracle,
-    validate_kernel,
     verify,
 )
 
@@ -33,27 +30,27 @@ MATRIX = [[0.5, 0.5, 0.0], [0.25, 0.5, 0.25], [0.0, 0.0, 1.0]]
 
 def main() -> None:
     np.set_printoptions(precision=6, suppress=True)
-    kernel, cls = validate_kernel(MATRIX)
-    print("chain classification:", cls)
+    kernel = TransitionKernel(MATRIX)
+    analysis = Analysis(kernel)  # computes each stage below once, on first use
+    print("chain classification:", analysis.chain_class)
 
-    spec = eigenvalues(kernel)
+    spec = analysis.spectrum
     print("\neigenvalues (hold probabilities of the dual):", spec.values.real)
 
-    link = build_link(kernel, spec, None)
-    dual = build_dual(spec)
+    link, dual = analysis.link, analysis.dual
     print("\nlink rows (law of the primal given the dual level):")
     print(link.rows)
     print("\npure-birth dual kernel:")
     print(dual.matrix)
     print("\nintertwining residual:", check_intertwining(link, kernel, dual).residual)
 
-    law = absorption_law(kernel)
+    law = analysis.absorption_law()
     print("\nabsorption law:", law.kind)
     print("P(T <= t) for t = 0..8:", np.atleast_1d(law.cdf(np.arange(9))))
     print("power oracle:          ", power_cdf_oracle(kernel, None, t_max=8))
     print("mean:", law.mean(), "fundamental-matrix oracle:", mean_absorption_oracle(kernel))
 
-    report = verify(kernel, mode="skipfree", samples=20000, seed=0)
+    report = verify(analysis, mode="skipfree", samples=20000, seed=0)
     print("\nverification report:")
     print(json.dumps(report.to_dict(), indent=2))
 

@@ -12,13 +12,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ssdual import (
-    absorption_law,
-    build_dual,
-    build_link,
-    build_modified_dual,
+    Analysis,
     check_intertwining,
     ctmc_cdf_oracle,
-    eigenvalues,
     hypoexp_law,
     mixture_weights,
     power_cdf_oracle,
@@ -44,22 +40,17 @@ class SweepConfig:
     n_max: int = 9
 
 
-def law_deviation(matrix) -> float:
-    kernel, _ = validate_kernel(matrix)
-    law = absorption_law(kernel)
+def law_deviation(analysis: Analysis) -> float:
+    law = analysis.absorption_law()
     q = law.quantile(0.9999)
-    oracle = power_cdf_oracle(kernel, None, t_max=q)
+    oracle = power_cdf_oracle(analysis.kernel, None, t_max=q)
     return float(np.abs(np.atleast_1d(law.cdf(np.arange(q + 1))) - oracle).max())
 
 
-def intertwining_residuals(matrix) -> tuple[float, float, float]:
-    kernel, _ = validate_kernel(matrix)
-    spec = eigenvalues(kernel)
-    link = build_link(kernel, spec, None)
-    dual = build_dual(spec)
-    mod = build_modified_dual(kernel, link, spec, None)
+def intertwining_residuals(analysis: Analysis) -> tuple[float, float, float]:
+    mod = analysis.modified
     return (
-        check_intertwining(link, kernel, dual).residual,
+        check_intertwining(analysis.link, analysis.kernel, analysis.dual).residual,
         mod.intertwining_residual,
         mod.initial_residual,
     )
@@ -77,14 +68,11 @@ def sweep(cfg: SweepConfig) -> None:
     for name, draw in families.items():
         dev = link_r = mod_r = init_r = neg = 0.0
         for _ in range(cfg.count):
-            mat = draw()
-            dev = max(dev, law_deviation(mat))
-            a, b, c = intertwining_residuals(mat)
+            analysis = Analysis(validate_kernel(draw())[0])
+            dev = max(dev, law_deviation(analysis))
+            a, b, c = intertwining_residuals(analysis)
             link_r, mod_r, init_r = max(link_r, a), max(mod_r, b), max(init_r, c)
-            kernel, _ = validate_kernel(mat)
-            spec = eigenvalues(kernel)
-            link = build_link(kernel, spec, None)
-            w = mixture_weights(link).weights
+            w = mixture_weights(analysis.link).weights
             if not np.iscomplexobj(w):
                 neg = min(neg, float(w.min()))
         print(

@@ -70,11 +70,11 @@ from .errors import (
     ZeroSuperdiagonal,
 )
 from .laws import (
+    Analysis,
     ContinuousAbsorptionLaw,
     DiscreteAbsorptionLaw,
     absorption_law,
     hypoexp_law,
-    resolvent_entry,
     sst_law,
 )
 from .spectral import (
@@ -107,8 +107,8 @@ __all__ = [
     "check_intertwining", "check_monotone_reversal", "mixture_weights",
     "separation",
     # laws
-    "ContinuousAbsorptionLaw", "DiscreteAbsorptionLaw", "absorption_law",
-    "hypoexp_law", "resolvent_entry", "sst_law",
+    "Analysis", "ContinuousAbsorptionLaw", "DiscreteAbsorptionLaw",
+    "absorption_law", "hypoexp_law", "sst_law",
     # coupling
     "CouplingTrace", "VerifyReport", "promotion_probability",
     "simulate_coupled_continuous", "simulate_coupled_discrete",

@@ -5,6 +5,11 @@ A chain file is a JSON object with keys ``mode`` ("discrete" or
 and ``labels``.  When ``target`` is not the last index the states are
 relabeled so that it is, preserving the relative order of the others.
 
+Loading a file builds the chain's one ``Analysis``; every command reads the
+classification, spectrum, link, duals, stationary law and laws from it, and
+``verify`` and ``simulate`` hand it to ``coupling.verify``, so the law they
+print is the one the coupling tested.
+
 Exit codes: 0 success, 2 invalid input, 3 failed mathematical precondition,
 4 structural hypothesis rejected, 5 verification gates failed.
 """
@@ -23,41 +28,19 @@ import scipy
 
 from . import __version__
 from .chains import (
-    ChainClass,
     RateGenerator,
     TransitionKernel,
-    as_initial,
-    classify_generator,
-    classify_kernel,
     ctmc_cdf_oracle,
     mean_absorption_ctmc_oracle,
     mean_absorption_oracle,
     power_cdf_oracle,
-    stationary_law,
-    uniformize,
 )
 from .config import VerifyThresholds, tol_alg
 from .coupling import verify
-from .duality import (
-    build_dual,
-    build_link,
-    build_modified_dual,
-    check_intertwining,
-    check_monotone_reversal,
-    mixture_weights,
-    separation,
-)
-from .errors import (
-    HorizonExceeded,
-    HypothesisFailed,
-    InsufficientSamples,
-    PreconditionError,
-    SSDualError,
-    TargetNotAccessible,
-    ValidationError,
-)
-from .laws import absorption_law, hypoexp_law, sst_law
-from .spectral import classify_spectrum, eigenvalues, polynomial_residuals
+from .duality import check_intertwining, mixture_weights, separation
+from .errors import HypothesisFailed, SSDualError, TargetNotAccessible, ValidationError
+from .laws import Analysis, ContinuousAbsorptionLaw
+from .spectral import classify_spectrum, polynomial_residuals
 
 __all__ = ["LoadedChain", "load_chain", "load_chain_text", "dump_chain", "main"]
 
@@ -71,11 +54,14 @@ _MAX_SERIES_ROWS = 20000
 
 @dataclass(frozen=True, slots=True)
 class LoadedChain:
-    """A chain file after validation and the optional target relabeling."""
+    """A chain file after validation and the optional target relabeling.
+
+    Every command reads its stages from ``analysis``, the chain's one Analysis.
+    """
 
     mode: str
     chain: TransitionKernel | RateGenerator
-    chain_class: ChainClass
+    analysis: Analysis
     initial: np.ndarray | None
     labels: tuple[str, ...] | None
     state_order: tuple[int, ...]
@@ -107,7 +93,7 @@ def load_chain_text(text: str, source: str = "<memory>") -> LoadedChain:
     n = matrix.shape[0]
 
     target = raw.get("target", n - 1)
-    if not isinstance(target, int) or not 0 <= target < n:
+    if isinstance(target, bool) or not isinstance(target, int) or not 0 <= target < n:
         raise ValidationError(f"{source}: target must be a state index in 0..{n - 1}")
 
     initial = raw.get("initial")
@@ -118,7 +104,8 @@ def load_chain_text(text: str, source: str = "<memory>") -> LoadedChain:
 
     labels = raw.get("labels")
     if labels is not None:
-        if len(labels) != n or not all(isinstance(s, str) for s in labels):
+        if not isinstance(labels, list) or len(labels) != n \
+                or not all(isinstance(s, str) for s in labels):
             raise ValidationError(f"{source}: labels must be {n} strings")
         labels = tuple(labels)
 
@@ -134,19 +121,13 @@ def load_chain_text(text: str, source: str = "<memory>") -> LoadedChain:
     # accessibility is left to the analysis ops: for skip-free chains a zero
     # superdiagonal must be diagnosed as ZeroSuperdiagonal, not as plain
     # inaccessibility; cmd_validate re-checks and reports it as exit 2
-    if mode == "discrete":
-        chain = TransitionKernel(matrix)
-        cls = classify_kernel(chain)
-    else:
-        chain = RateGenerator(matrix)
-        cls = classify_generator(chain)
-    if initial is not None:
-        initial = as_initial(initial, n)
+    chain = TransitionKernel(matrix) if mode == "discrete" else RateGenerator(matrix)
+    analysis = Analysis(chain, initial)
     return LoadedChain(
         mode=mode,
         chain=chain,
-        chain_class=cls,
-        initial=initial,
+        analysis=analysis,
+        initial=None if initial is None else analysis.m0,
         labels=labels,
         state_order=order,
         source=source,
@@ -243,7 +224,7 @@ def _base_summary(command: str, loaded: LoadedChain) -> dict:
         "mode": loaded.mode,
         "n": loaded.chain.n,
         "target": loaded.chain.d,
-        "classification": asdict(loaded.chain_class),
+        "classification": asdict(loaded.analysis.chain_class),
         "eigenvalue_order": _EIGEN_ORDER,
         "versions": _versions(),
     }
@@ -254,10 +235,6 @@ def _base_summary(command: str, loaded: LoadedChain) -> dict:
     if loaded.initial is not None:
         out["initial"] = loaded.initial
     return out
-
-
-def _is_point_mass_at_zero(vec: np.ndarray | None) -> bool:
-    return vec is None or (vec[0] == 1.0 and not np.any(vec[1:]))
 
 
 def _int_grid(t_top: int) -> list[int]:
@@ -274,12 +251,12 @@ def _int_grid(t_top: int) -> list[int]:
 
 def cmd_validate(args) -> int:
     loaded = load_chain(args.chain)
-    if not loaded.chain_class.target_accessible:
+    cls = loaded.analysis.chain_class
+    if not cls.target_accessible:
         raise TargetNotAccessible("target state is not accessible from every state")
     if args.echo:
         sys.stdout.write(dump_chain(loaded))
         return 0
-    cls = loaded.chain_class
     if cls.birth_death:
         shape = "skip-free birth-death"
     elif cls.skip_free_up:
@@ -300,19 +277,11 @@ def cmd_validate(args) -> int:
     return 0
 
 
-def _spectrum_parts(loaded: LoadedChain):
-    """Kernel to analyze (uniformized for generators), its rate, and spectrum."""
-    if loaded.mode == "continuous":
-        kernel, rate = uniformize(loaded.chain)
-    else:
-        kernel, rate = loaded.chain, None
-    return kernel, rate, eigenvalues(kernel)
-
-
 def cmd_spectrum(args) -> int:
     loaded = load_chain(args.chain)
-    kernel, rate, spectrum = _spectrum_parts(loaded)
-    polys = polynomial_residuals(kernel, spectrum)
+    analysis = loaded.analysis
+    spectrum, rate = analysis.spectrum, analysis.rate
+    polys = polynomial_residuals(analysis.kernel, spectrum)
     classification = classify_spectrum(spectrum, polys)
     summary = _base_summary("spectrum", loaded)
     summary.update(
@@ -338,16 +307,16 @@ def cmd_spectrum(args) -> int:
 
 def cmd_dual(args) -> int:
     loaded = load_chain(args.chain)
-    kernel, rate, spectrum = _spectrum_parts(loaded)
-    link = build_link(kernel, spectrum, loaded.initial)
-    dual = build_dual(spectrum)
+    analysis = loaded.analysis
+    kernel, rate, spectrum = analysis.kernel, analysis.rate, analysis.spectrum
+    link, dual = analysis.link, analysis.dual
     inter = check_intertwining(link, kernel, dual, powers=(2, 3))
 
-    cls = loaded.chain_class
+    cls = analysis.chain_class
     normalizer = 1.0
     summary = _base_summary("dual", loaded)
     if cls.ergodic and loaded.mode == "discrete":
-        pi = stationary_law(kernel)
+        pi = analysis.stationary
         normalizer = float(pi[-1])
         summary["stationary"] = pi
     weights = mixture_weights(link, normalizer)
@@ -380,7 +349,7 @@ def cmd_dual(args) -> int:
 
     modified = None
     if cls.target_absorbing:
-        modified = build_modified_dual(kernel, link, spectrum, loaded.initial)
+        modified = analysis.modified
         summary["modified_dual"] = {
             "kernel": modified.kernel,
             "initial": modified.initial,
@@ -411,7 +380,8 @@ def cmd_dual(args) -> int:
 
 def _law_dict(law) -> dict:
     """Common law description shared by the absorption and sst summaries."""
-    discrete = getattr(law, "discrete", law)
+    continuous = isinstance(law, ContinuousAbsorptionLaw)
+    discrete = law.discrete if continuous else law
     out = {
         "kind": law.kind,
         "thetas": [[v.real, v.imag] for v in np.atleast_1d(discrete.thetas)],
@@ -421,7 +391,7 @@ def _law_dict(law) -> dict:
     }
     if law.kind == "geometric_convolution":
         out["geometric_success_probabilities"] = 1.0 - np.real(discrete.thetas)
-    if getattr(law, "rates", None) is not None:
+    if continuous and law.rates is not None:
         out["exponential_rates"] = law.rates
         out["uniformization_rate"] = law.rate
     return out
@@ -437,27 +407,25 @@ def cmd_absorption(args) -> int:
     loaded = load_chain(args.chain)
     summary = _base_summary("absorption", loaded)
 
+    law = loaded.analysis.absorption_law()
+    oracle = None
     if loaded.mode == "continuous":
-        law = hypoexp_law(loaded.chain, loaded.initial)
         t_top = float(args.t_max) if args.t_max is not None else law.quantile(1.0 - 1e-6)
         ts = np.linspace(0.0, t_top, 201)
         exact = np.atleast_1d(law.cdf(ts))
-        oracle = None
         if args.oracle:
             oracle = ctmc_cdf_oracle(loaded.chain, loaded.initial, ts)
             summary["oracle_mean"] = mean_absorption_ctmc_oracle(loaded.chain, loaded.initial)
     else:
-        law = absorption_law(loaded.chain, loaded.initial)
         t_top = int(args.t_max) if args.t_max is not None else law.quantile(1.0 - 1e-6)
         ts = np.array(_int_grid(t_top))
         exact = np.real(np.atleast_1d(law.cdf(ts)))
-        oracle = None
         if args.oracle:
             oracle = power_cdf_oracle(loaded.chain, loaded.initial, int(t_top))[ts]
             summary["oracle_mean"] = mean_absorption_oracle(loaded.chain, loaded.initial)
 
     summary["law"] = _law_dict(law)
-    discrete = getattr(law, "discrete", law)
+    discrete = law.discrete if loaded.mode == "continuous" else law
     summary["absorbing_start"] = _dbar(np.real(discrete.level_weights), loaded.chain.n)
     if oracle is not None:
         dev = float(np.abs(exact - oracle).max())
@@ -484,22 +452,18 @@ def cmd_sst(args) -> int:
     loaded = load_chain(args.chain)
     if loaded.mode != "discrete":
         raise ValidationError("sst requires a discrete chain file")
-    law = sst_law(loaded.chain, loaded.initial,
-                  scan_horizon=int(args.t_max) if args.t_max is not None else None)
+    analysis = loaded.analysis
+    law = analysis.sst_law(int(args.t_max) if args.t_max is not None else None)
     t_top = int(args.t_max) if args.t_max is not None else law.quantile(1.0 - 1e-6)
     ts = np.array(_int_grid(t_top))
     exact = np.real(np.atleast_1d(law.cdf(ts)))
     profile = separation(loaded.chain, loaded.initial, t_max=int(t_top))
     sep = profile.s[ts]
 
-    monotone = check_monotone_reversal(loaded.chain)
-    ratios = as_initial(loaded.initial, loaded.chain.n) / law.stationary
-    structural = monotone.monotone and bool(np.all(np.diff(ratios) <= 1e-12))
-
     summary = _base_summary("sst", loaded)
     summary["law"] = _law_dict(law)
-    summary["stationary"] = law.stationary
-    summary["certification"] = "structural" if structural else "separation-scan"
+    summary["stationary"] = analysis.stationary
+    summary["certification"] = analysis.certification
     summary["separation_minimized_at_target"] = profile.minimized_at_target
     dev = float(np.abs(exact - (1.0 - sep)).max())
     summary["separation_max_deviation"] = dev
@@ -526,17 +490,19 @@ def _resolve_mode(loaded: LoadedChain, requested: str | None) -> str:
         return "continuous"
     if requested == "continuous":
         raise ValidationError("continuous mode needs a continuous chain file")
-    if requested == "skipfree" and not loaded.chain_class.skip_free_up:
+    skip_free = loaded.analysis.chain_class.skip_free_up
+    if requested == "skipfree" and not skip_free:
         raise ValidationError("skipfree mode needs a skip-free chain; use --mode general")
     if requested is not None:
         return requested
-    return "skipfree" if loaded.chain_class.skip_free_up else "general"
+    return "skipfree" if skip_free else "general"
 
 
 def _run_verification(args, command: str) -> tuple[int, bool]:
     loaded = load_chain(args.chain)
+    analysis = loaded.analysis
     mode = _resolve_mode(loaded, args.mode)
-    if mode in ("skipfree", "continuous") and not _is_point_mass_at_zero(loaded.initial):
+    if mode in ("skipfree", "continuous") and not analysis.starts_at_zero:
         raise ValidationError(
             f"{mode} coupling starts at state 0; use --mode general for other initials"
         )
@@ -545,23 +511,16 @@ def _run_verification(args, command: str) -> tuple[int, bool]:
     if seed is None:
         seed = int(os.environ.get("SSD_SEED", "0"))
 
-    if mode == "continuous":
-        law = hypoexp_law(loaded.chain)
-        m0 = None
-    else:
-        m0 = loaded.initial if mode == "general" else None
-        law = absorption_law(loaded.chain, m0)
-
+    law = analysis.absorption_law()
     thresholds = VerifyThresholds()
     extra = {}
     if args.horizon is not None:
         extra["horizon"] = args.horizon
     report = verify(
-        loaded.chain,
+        analysis,
         mode=mode,
         samples=args.samples,
         seed=seed,
-        m0=m0,
         law=law,
         thresholds=thresholds,
         jobs=args.jobs,
@@ -572,10 +531,7 @@ def _run_verification(args, command: str) -> tuple[int, bool]:
     summary["report"] = report.to_dict()
     summary["law"] = _law_dict(law)
     summary["thresholds"] = asdict(thresholds)
-    spectrum = getattr(getattr(law, "discrete", law), "spectrum", None)
-    if spectrum is not None:
-        summary["eigenvalues"] = [[v.real, v.imag]
-                                  for v in np.atleast_1d(spectrum.values)]
+    summary["eigenvalues"] = [[v.real, v.imag] for v in np.atleast_1d(analysis.spectrum.values)]
 
     times = np.sort(np.asarray(report.absorption_times, dtype=float))
     n_times = len(times)
@@ -694,9 +650,6 @@ def main(argv: list[str] | None = None) -> int:
     except HypothesisFailed as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except (PreconditionError, InsufficientSamples, HorizonExceeded) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except SSDualError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -5,10 +5,13 @@ the primal state is distributed by the corresponding link row, and the dual
 moves one level at a time (discrete skip-free and continuous cases) or through
 the climb-or-jump structure of the modified dual (general case).
 
-``verify`` simulates its traces in lockstep blocks of ``config._TRACE_BLOCK``;
-each block draws from its own counter-based Philox stream, keyed (seed, block
-index), so results are reproducible for any partition of blocks across
-workers.  The scalar ``simulate_*`` functions are one-trace references.
+``verify`` takes the link, dual and modified dual of its coupling from an
+``Analysis`` (its own, or the caller's), so they are built once per request
+and the law under test is read off the same stages.  It simulates its
+traces in lockstep blocks of ``config._TRACE_BLOCK``; each block draws from
+its own counter-based Philox stream, keyed (seed, block index), so results
+are reproducible for any partition of blocks across workers.  The scalar
+``simulate_*`` functions are one-trace references.
 
 The harness counts each block into arrays and applies the gates: exact-law
 KS on absorption times, chi-square on the per-step conditional laws,
@@ -26,10 +29,9 @@ import numpy as np
 
 from .config import _TRACE_BLOCK, MAX_HORIZON, VerifyThresholds
 from .errors import InsufficientSamples, NotStochasticLink
-from .chains import RateGenerator, TransitionKernel, uniformize
-from .duality import DualKernel, LinkMatrix, ModifiedDual, build_dual, build_link, build_modified_dual
-from .laws import absorption_law, hypoexp_law
-from .spectral import eigenvalues
+from .chains import RateGenerator, TransitionKernel
+from .duality import DualKernel, LinkMatrix, ModifiedDual
+from .laws import Analysis
 
 __all__ = [
     "CouplingTrace",
@@ -660,16 +662,20 @@ def verify(
 
     Parameters
     ----------
-    chain : TransitionKernel or RateGenerator
-        Kernel for modes 'skipfree' and 'general', generator for 'continuous'.
+    chain : TransitionKernel, RateGenerator or Analysis
+        Kernel for modes 'skipfree' and 'general', generator for 'continuous',
+        or the ``Analysis`` of one: the coupling is built from its link, dual
+        and modified dual, so a caller that holds the Analysis pays for none
+        of them again.
     mode : str
         Coupling construction to exercise.
     samples, seed : int
         Monte Carlo size and the base of the per-block Philox keys.
     m0 : optional
-        Initial law for the general mode.
+        Initial law for the general mode; an Analysis carries its own.
     law : optional
-        Precomputed law (recomputed from the chain when omitted).
+        The law under test (the chain's own when omitted).  The coupling
+        always comes from the chain, so a wrong law meets the true link.
     jobs : int
         Worker processes, each given a run of whole blocks of traces; the
         per-block streams make the result identical for any job count.
@@ -685,14 +691,19 @@ def verify(
         raise ValueError(f"unknown mode {mode!r}")
     continuous = mode == "continuous"
     chain_type = RateGenerator if continuous else TransitionKernel
-    if not isinstance(chain, chain_type):
+    given = isinstance(chain, Analysis)
+    if not isinstance(chain.chain if given else chain, chain_type):
         raise ValueError(f"{mode} mode requires a {chain_type.__name__}")
+    if given and m0 is not None:
+        raise ValueError("an Analysis carries its own initial law; pass no m0")
+    analysis = chain if given else Analysis(chain, m0 if mode == "general" else None)
+    if not (mode == "general" or analysis.starts_at_zero):
+        raise ValueError(f"{mode} coupling starts at state 0; use mode 'general'")
     if law is None:
-        law = hypoexp_law(chain) if continuous else absorption_law(
-            chain, m0 if mode == "general" else None)
+        law = analysis.absorption_law()
     # continuous time has no per-step conditional cells
-    sim, thetas = _coupling(chain, mode, m0, samples=samples, seed=seed, horizon=horizon,
-                            t_cap=0 if continuous else thresholds.conditional_t_cap)
+    sim = _coupling(analysis, mode, samples=samples, seed=seed, horizon=horizon,
+                    t_cap=0 if continuous else thresholds.conditional_t_cap)
     blocks = -(-samples // _TRACE_BLOCK)
     per_job = -(-blocks // max(jobs, 1))
     spans = [(lo, min(lo + per_job, blocks)) for lo in range(0, blocks, per_job)]
@@ -705,28 +716,25 @@ def verify(
     else:
         counts = sim.count(0, blocks)
 
-    return _build_report(mode, samples, seed, law, counts, thresholds, thetas, sim.link_rows)
+    return _build_report(mode, samples, seed, law, counts, thresholds,
+                         analysis.spectrum.nonunit.real, sim.link_rows)
 
 
-def _coupling(chain, mode: str, m0, **run) -> tuple[_Lockstep, np.ndarray]:
-    """The lockstep simulator of ``verify``, and the dual's holding probabilities."""
-    continuous = mode == "continuous"
-    kernel, rate = uniformize(chain) if continuous else (chain, None)
-    spectrum = eigenvalues(kernel)
-    link = build_link(kernel, spectrum, m0 if mode == "general" else None)
+def _coupling(analysis: Analysis, mode: str, **run) -> _Lockstep:
+    """The lockstep simulator of ``verify``, from the stages of ``analysis``."""
     if mode == "general":
-        modified = build_modified_dual(chain, link, spectrum, m0)
+        modified = analysis.modified
         if not modified.stochastic:
             raise NotStochasticLink("general coupling requires a stochastic modified dual")
-        sim = _General(chain, modified, **run)
-    elif not link.stochastic:
-        raise NotStochasticLink(f"{'continuous' if continuous else 'discrete'} coupling "
-                                "requires a stochastic link")
-    elif continuous:
-        sim = _Continuous(chain, link, rate * (1.0 - spectrum.nonunit.real), **run)
-    else:
-        sim = _SkipFree(chain, link, build_dual(spectrum), **run)
-    return sim, spectrum.nonunit.real
+        return _General(analysis.kernel, modified, **run)
+    link = analysis.link
+    if not link.stochastic:
+        raise NotStochasticLink(f"{'continuous' if mode == 'continuous' else 'discrete'} "
+                                "coupling requires a stochastic link")
+    if mode == "continuous":
+        rates = analysis.rate * (1.0 - analysis.spectrum.nonunit.real)
+        return _Continuous(analysis.chain, link, rates, **run)
+    return _SkipFree(analysis.kernel, link, analysis.dual, **run)
 
 
 def _ks_two_sided(x: np.ndarray, cdf) -> tuple[float, float]:

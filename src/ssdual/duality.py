@@ -340,14 +340,14 @@ def build_modified_dual(
     )
 
 
-def check_monotone_reversal(kernel: TransitionKernel) -> MonotoneReport:
+def check_monotone_reversal(kernel: TransitionKernel, pi: np.ndarray) -> MonotoneReport:
     """Check that the time reversal is stochastically monotone.
 
-    The reversal is Ptilde(x, y) = pi(y) P(y, x) / pi(x); monotone means the
-    partial sums of row x dominate those of row x + 1 for every x.  Returns
-    the first violating pair as witness.
+    The reversal is Ptilde(x, y) = pi(y) P(y, x) / pi(x), with ``pi`` the
+    kernel's stationary law; monotone means the partial sums of row x
+    dominate those of row x + 1 for every x.  Returns the first violating
+    pair as witness.
     """
-    pi = stationary_law(kernel)
     rev = (kernel.matrix.T * pi[None, :]) / pi[:, None]
     prefix = np.cumsum(rev, axis=1)
     n = kernel.n

@@ -1,4 +1,8 @@
-"""Exact absorption-time and strong stationary time laws.
+"""Exact absorption-time and strong stationary time laws, and the pipeline behind them.
+
+``Analysis`` is the one place where the stages of the construction are put
+in sequence: classify the chain, take its spectrum, build the link m0 Q_k and
+the pure-birth dual, then read off the law.
 
 Every law here is evaluated through the pure-birth dual: F(t) = e0 Phat^t w,
 where Phat is the upper bidiagonal dual kernel started at level 0 and w is
@@ -24,6 +28,8 @@ times formed at once.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from .config import _BLOCK_STEPS, IMAG_PROB_TOL, MAX_HORIZON, TOL_NONNEG, TOL_SERIES, tol_alg
@@ -47,16 +53,26 @@ from .chains import (
     stationary_law,
     uniformize,
 )
-from .duality import build_link, check_monotone_reversal, separation
-from .spectral import eigenvalues
+from .duality import (
+    DualKernel,
+    LinkMatrix,
+    ModifiedDual,
+    MonotoneReport,
+    build_dual,
+    build_link,
+    build_modified_dual,
+    check_monotone_reversal,
+    separation,
+)
+from .spectral import SpectrumReport, eigenvalues
 
 __all__ = [
+    "Analysis",
     "DiscreteAbsorptionLaw",
     "ContinuousAbsorptionLaw",
     "absorption_law",
     "sst_law",
     "hypoexp_law",
-    "resolvent_entry",
 ]
 
 _POLE_TOL = 1e-12
@@ -73,24 +89,6 @@ def _real_probability(values: np.ndarray, context: str):
     if worst > IMAG_PROB_TOL:
         raise ImaginaryResidue(f"{context} retained imaginary part {worst!r}")
     return values.real
-
-
-def resolvent_entry(thetas, u, i: int, j: int):
-    """Entry (i, j) of (I - u Phat)^{-1} for the pure-birth dual.
-
-    ``thetas`` is the full diagonal (unit eigenvalue last).  Closed form:
-    product of (1 - theta_r) u over r = i..j-1, divided by the product of
-    (1 - theta_r u) over r = i..j.
-    """
-    th = np.asarray(thetas)
-    if i > j:
-        return 0.0
-    for r in range(i, j + 1):
-        if abs(1.0 - th[r] * u) <= _POLE_TOL * (1.0 + abs(th[r] * u)):
-            raise PoleAtU(f"resolvent evaluated at a pole: theta_{r} u = {(th[r] * u).item()!r}")
-    num = np.prod([(1.0 - th[r]) * u for r in range(i, j)]) if j > i else 1.0
-    den = np.prod([1.0 - th[r] * u for r in range(i, j + 1)])
-    return num / den
 
 
 class DiscreteAbsorptionLaw:
@@ -232,33 +230,18 @@ class DiscreteAbsorptionLaw:
         vals = _real_probability(self._cdf_at(ts) - self._cdf_at(ts - 1), "pmf")
         return float(vals[0]) if np.ndim(t) == 0 else vals
 
-    def pgf(self, u, form: str = "product"):
-        """E[u^T], by the mixture product form or through the dual resolvent.
+    def pgf(self, u):
+        """E[u^T] by the mixture product form.
 
-        Both forms are exact; they are kept separate so they can cross-check
-        each other.  Raises ``PoleAtU`` within ``1e-12`` of a pole 1/theta_j.
+        Raises ``PoleAtU`` within ``1e-12`` of a pole 1/theta_j.
         """
-        if form not in ("product", "resolvent"):
-            raise ValueError(f"unknown pgf form {form!r}")
         th = self.thetas
         for theta in th:
             if abs(1.0 - theta * u) <= _POLE_TOL * (1.0 + abs(theta * u)):
                 raise PoleAtU(f"pgf evaluated at a pole of 1/(1 - theta u), theta={theta!r}")
-        if form == "product":
-            factors = (1.0 - th) * u / (1.0 - th * u)
-            prefixes = np.concatenate([[1.0], np.cumprod(factors)])
-            total = np.sum(self.weights * prefixes)
-        else:
-            d = self.d
-            # term_j = (1 - u) * resolvent(0, j); the j = d term cancels its
-            # (1 - u) pole analytically, so it is assembled without that factor
-            num = np.concatenate([[1.0], np.cumprod((1.0 - th) * u)])
-            den = np.concatenate([[1.0], np.cumprod(1.0 - th * u)])
-            total = 0.0
-            for j in range(d):
-                total += self.level_weights[j] * (1.0 - u) * num[j] / den[j + 1]
-            total += self.level_weights[d] * num[d] / den[d]
-        total = np.asarray(total)
+        factors = (1.0 - th) * u / (1.0 - th * u)
+        prefixes = np.concatenate([[1.0], np.cumprod(factors)])
+        total = np.asarray(np.sum(self.weights * prefixes))
         if np.iscomplexobj(total) and not np.iscomplexobj(np.asarray(u)):
             total = _real_probability(total.reshape(1), "pgf")[0]
         return complex(total) if np.iscomplexobj(total) else float(total)
@@ -361,9 +344,9 @@ class ContinuousAbsorptionLaw:
             out[lo : lo + step] = pmf @ f_disc[: len(ks)] + tail
         return float(out[0]) if np.ndim(t) == 0 else out
 
-    def laplace(self, s, form: str = "product"):
+    def laplace(self, s):
         """E[exp(-s T)] = discrete pgf at u = rate / (rate + s)."""
-        return self.discrete.pgf(self.rate / (self.rate + s), form=form)
+        return self.discrete.pgf(self.rate / (self.rate + s))
 
     def mean(self) -> float:
         return self.discrete.mean() / self.rate
@@ -406,8 +389,111 @@ class ContinuousAbsorptionLaw:
         return float(out[0]) if size is None else out
 
 
-def _is_delta0(vec: np.ndarray) -> bool:
-    return vec[0] == 1.0
+class Analysis:
+    """The duality pipeline of one chain and initial law, each stage computed once.
+
+    Construction classifies the chain and uniformizes a generator: ``kernel``
+    is the discrete chain every stage works on, ``rate`` the uniformization
+    rate (None for a kernel).  The uniformized kernel has the generator's
+    support plus a positive diagonal, hence the generator's classification.
+    The stages are built on first use and kept, each from those before it:
+    spectrum -> link (rows m0 Q_k) -> dual and modified (the modified dual),
+    and stationary -> monotone -> certification.  The laws, ``verify`` and
+    the command line all read them from one Analysis.
+    """
+
+    def __init__(self, chain: TransitionKernel | RateGenerator, m0=None):
+        self.chain = chain
+        self.m0 = as_initial(m0, chain.n)
+        if isinstance(chain, RateGenerator):
+            self.chain_class = classify_generator(chain)
+            self.kernel, self.rate = uniformize(chain)
+        else:
+            self.chain_class = classify_kernel(chain)
+            self.kernel, self.rate = chain, None
+
+    @property
+    def starts_at_zero(self) -> bool:
+        """Whether the initial law is the point mass at state 0."""
+        return bool(self.m0[0] == 1.0)
+
+    @cached_property
+    def spectrum(self) -> SpectrumReport:
+        return eigenvalues(self.kernel, self.chain_class)
+
+    @cached_property
+    def link(self) -> LinkMatrix:
+        return build_link(self.kernel, self.spectrum, self.m0)
+
+    @cached_property
+    def dual(self) -> DualKernel:
+        return build_dual(self.spectrum)
+
+    @cached_property
+    def modified(self) -> ModifiedDual:
+        return build_modified_dual(self.kernel, self.link, self.spectrum, self.m0)
+
+    @cached_property
+    def stationary(self) -> np.ndarray:
+        pi = stationary_law(self.kernel)
+        pi.setflags(write=False)  # shared by every reader of this Analysis
+        return pi
+
+    @cached_property
+    def monotone(self) -> MonotoneReport:
+        return check_monotone_reversal(self.kernel, self.stationary)
+
+    @cached_property
+    def certification(self) -> str:
+        """'structural' when the time reversal is stochastically monotone and
+        the ratios m0/pi do not increase, else 'separation-scan'."""
+        ratios = self.m0 / self.stationary
+        structural = self.monotone.monotone and bool(np.all(np.diff(ratios) <= 1e-12))
+        return "structural" if structural else "separation-scan"
+
+    def absorption_law(self) -> DiscreteAbsorptionLaw | ContinuousAbsorptionLaw:
+        """The hitting-time law of the target; see the module function ``absorption_law``.
+
+        A generator's law is the Poisson mixture of its uniformized kernel's.
+        """
+        cls = self.chain_class
+        if cls.skip_free_up and not cls.superdiag_positive:
+            step = "p(i, i+1)" if self.rate is None else "g(i, i+1)"
+            raise ZeroSuperdiagonal(f"skip-free analysis requires {step} > 0 for every i < d")
+        if not cls.target_accessible:
+            raise TargetNotAccessible("target state is not accessible from every state")
+        require_absorbing(self.chain)
+        spectrum = self.spectrum
+        if cls.skip_free_up and self.starts_at_zero:
+            w = np.zeros(self.kernel.n, dtype=float if spectrum.all_real else complex)
+            w[-1] = 1.0
+        else:
+            w = self.link.rows[:, -1]
+        law = DiscreteAbsorptionLaw(spectrum.nonunit, w)
+        return law if self.rate is None else ContinuousAbsorptionLaw(law, self.rate)
+
+    def sst_law(self, scan_horizon: int | None = None) -> DiscreteAbsorptionLaw:
+        """The fastest strong stationary time's law; see the module function ``sst_law``."""
+        if not self.chain_class.ergodic:
+            raise NotErgodic("strong stationary analysis requires an ergodic kernel")
+        if self.certification != "structural":
+            if not self.monotone.monotone:
+                raise MonotoneHypothesisFails(
+                    f"time reversal is not stochastically monotone (rows {self.monotone.witness})"
+                )
+            profile = separation(self.kernel, self.m0, t_max=scan_horizon)
+            if not profile.minimized_at_target:
+                bad = int(np.nonzero(profile.argmin_state != self.kernel.d)[0][0])
+                raise MonotoneHypothesisFails(
+                    f"separation is not minimized at the target (first failure at t={bad})"
+                )
+        link = self.link
+        if link.lower_triangular and self.starts_at_zero:
+            w = np.zeros(self.kernel.n, dtype=link.rows.dtype)
+            w[-1] = 1.0
+        else:
+            w = link.rows[:, -1] / self.stationary[-1]
+        return DiscreteAbsorptionLaw(self.spectrum.nonunit, w)
 
 
 def absorption_law(kernel: TransitionKernel, m0=None) -> DiscreteAbsorptionLaw:
@@ -428,25 +514,7 @@ def absorption_law(kernel: TransitionKernel, m0=None) -> DiscreteAbsorptionLaw:
     PreconditionError
         Target not absorbing.
     """
-    cls = classify_kernel(kernel)
-    vec = as_initial(m0, kernel.n)
-    if cls.skip_free_up and not cls.superdiag_positive:
-        raise ZeroSuperdiagonal("skip-free analysis requires p(i, i+1) > 0 for every i < d")
-    if not cls.target_accessible:
-        raise TargetNotAccessible("target state is not accessible from every state")
-    require_absorbing(kernel)
-    spectrum = eigenvalues(kernel, cls)
-
-    if cls.skip_free_up and _is_delta0(vec):
-        w = np.zeros(kernel.n, dtype=float if spectrum.all_real else complex)
-        w[-1] = 1.0
-        law = DiscreteAbsorptionLaw(spectrum.nonunit, w)
-    else:
-        link = build_link(kernel, spectrum, vec)
-        law = DiscreteAbsorptionLaw(spectrum.nonunit, link.rows[:, -1])
-        law.link = link
-    law.spectrum = spectrum
-    return law
+    return Analysis(kernel, m0).absorption_law()
 
 
 def sst_law(kernel: TransitionKernel, m0=None, scan_horizon: int | None = None) -> DiscreteAbsorptionLaw:
@@ -467,39 +535,7 @@ def sst_law(kernel: TransitionKernel, m0=None, scan_horizon: int | None = None) 
     MonotoneHypothesisFails
         Reversal not monotone, or separation minimizer leaves the target.
     """
-    cls = classify_kernel(kernel)
-    if not cls.ergodic:
-        raise NotErgodic("strong stationary analysis requires an ergodic kernel")
-    vec = as_initial(m0, kernel.n)
-    pi = stationary_law(kernel)
-
-    monotone = check_monotone_reversal(kernel)
-    ratios = vec / pi
-    structurally_ok = monotone.monotone and bool(np.all(np.diff(ratios) <= 1e-12))
-    if not structurally_ok:
-        if not monotone.monotone:
-            raise MonotoneHypothesisFails(
-                f"time reversal is not stochastically monotone (rows {monotone.witness})"
-            )
-        profile = separation(kernel, vec, t_max=scan_horizon)
-        if not profile.minimized_at_target:
-            bad = int(np.nonzero(profile.argmin_state != kernel.d)[0][0])
-            raise MonotoneHypothesisFails(
-                f"separation is not minimized at the target (first failure at t={bad})"
-            )
-
-    spectrum = eigenvalues(kernel, cls)
-    link = build_link(kernel, spectrum, vec)
-    if link.lower_triangular and _is_delta0(vec):
-        w = np.zeros(kernel.n, dtype=link.rows.dtype)
-        w[-1] = 1.0
-    else:
-        w = link.rows[:, -1] / pi[-1]
-    law = DiscreteAbsorptionLaw(spectrum.nonunit, w)
-    law.link = link
-    law.spectrum = spectrum
-    law.stationary = pi
-    return law
+    return Analysis(kernel, m0).sst_law(scan_horizon)
 
 
 def hypoexp_law(gen: RateGenerator, m0=None) -> ContinuousAbsorptionLaw:
@@ -510,17 +546,6 @@ def hypoexp_law(gen: RateGenerator, m0=None) -> ContinuousAbsorptionLaw:
     continuous mixture built from the uniformized chain's link.  The discrete
     structure transfers exactly: the uniformized kernel's spectral polynomials
     are polynomials in G, so link, weights and level structure agree with the
-    continuous-time intertwining.
+    continuous-time intertwining.  Raises as ``absorption_law`` does.
     """
-    cls = classify_generator(gen)
-    vec = as_initial(m0, gen.n)
-    if cls.skip_free_up and not cls.superdiag_positive:
-        raise ZeroSuperdiagonal("skip-free analysis requires g(i, i+1) > 0 for every i < d")
-    if not cls.target_accessible:
-        raise TargetNotAccessible("target state is not accessible from every state")
-    require_absorbing(gen)
-    kernel, rate = uniformize(gen)
-    discrete = absorption_law(kernel, vec)
-    law = ContinuousAbsorptionLaw(discrete, rate)
-    law.generator_class = cls
-    return law
+    return Analysis(gen, m0).absorption_law()

@@ -177,7 +177,10 @@ def eigenvalues(kernel: TransitionKernel, chain_class: ChainClass | None = None)
     Raises
     ------
     EigenFailure
-        Ergodic kernel without a unique unit eigenvalue within TOL_EIG.
+        Ergodic kernel without a unique unit eigenvalue within TOL_EIG.  On
+        the symmetric routes of a connected block the largest eigenvalue is
+        the unit one, and it must lie within TOL_EIG of 1; the general route
+        needs exactly one eigenvalue in that window.
 
     Notes
     -----
@@ -215,6 +218,10 @@ def eigenvalues(kernel: TransitionKernel, chain_class: ChainClass | None = None)
             raise EigenFailure("transient block has a unit eigenvalue; target unreachable")
     else:
         near_unit = np.nonzero(np.abs(vals - 1.0) <= TOL_EIG)[0]
+        if method != "general" and cls.target_accessible and len(near_unit):
+            # eigvalsh sorts ascending, and a connected symmetrizable block has
+            # a simple unit eigenvalue: the largest, however close the next is
+            near_unit = near_unit[-1:]
         if len(near_unit) != 1:
             raise EigenFailure(
                 f"expected a unique unit eigenvalue, found {len(near_unit)} within {TOL_EIG}"
@@ -239,6 +246,7 @@ def eigenvalues(kernel: TransitionKernel, chain_class: ChainClass | None = None)
     if all_real:
         vals = vals.real
     all_nonneg_real = bool(all_real and vals.min() >= 0.0)
+    vals.setflags(write=False)
     return SpectrumReport(
         values=vals,
         all_real=all_real,

@@ -34,6 +34,7 @@ from ssdual import (
     power_cdf_oracle,
     separation,
     sst_law,
+    stationary_law,
     validate_generator,
     validate_kernel,
     verify,
@@ -199,7 +200,7 @@ def test_05_sst_equals_separation_complement(ergodic_matrices):
     worst = 0.0
     for matrix in ergodic_matrices:
         kernel, _ = validate_kernel(matrix)
-        assert check_monotone_reversal(kernel).monotone
+        assert check_monotone_reversal(kernel, stationary_law(kernel)).monotone
         law = sst_law(kernel)
         profile = separation(kernel)
         ts = np.arange(len(profile.s))

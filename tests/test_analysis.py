@@ -1,0 +1,125 @@
+"""One Analysis per chain: each costly stage of the construction runs once per request."""
+
+from __future__ import annotations
+
+import collections
+import sys
+
+import numpy as np
+import pytest
+
+from ssdual import (
+    Analysis,
+    RateGenerator,
+    absorption_law,
+    classify_generator,
+    classify_kernel,
+    uniformize,
+    verify,
+)
+from ssdual.cli import main
+from ssdual.families import random_birth_death_generator, random_skipfree_generator
+
+from conftest import BD3_MATRIX, CT21_MATRIX, ERG3_MATRIX, GEN3_MATRIX
+
+#: stage -> the functions that perform it
+STAGES = {
+    "classify": ("classify_kernel", "classify_generator"),
+    "eigenvalues": ("eigenvalues",),
+    "link": ("build_link",),
+    "modified": ("build_modified_dual",),
+    "stationary": ("stationary_law",),
+    "monotone": ("check_monotone_reversal",),
+}
+
+
+@pytest.fixture
+def stage_counts(monkeypatch):
+    """Count the stage calls, with each function wrapped wherever an ssdual module binds it."""
+    counts = collections.Counter()
+    modules = [m for key, m in sys.modules.items()
+               if m is not None and (key == "ssdual" or key.startswith("ssdual."))]
+    for stage, names in STAGES.items():
+        for name in names:
+            original = getattr(sys.modules["ssdual"], name)
+
+            def wrapper(*args, _fn=original, _stage=stage, **kwargs):
+                counts[_stage] += 1
+                return _fn(*args, **kwargs)
+
+            for module in modules:
+                for key, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, key, wrapper)
+    return counts
+
+
+SAMPLES = ["--samples", "2000", "--seed", "12"]
+
+
+@pytest.mark.parametrize("argv, expected", [
+    # sst: the two extra classifications and the extra pi are separation's input checks
+    (["sst", "erg3", "--oracle"],
+     dict(classify=4, eigenvalues=1, link=1, stationary=2, monotone=1)),
+    (["verify", "bd3", *SAMPLES], dict(classify=1, eigenvalues=1, link=1)),
+    (["verify", "gen3i", "--mode", "general", *SAMPLES],
+     dict(classify=1, eigenvalues=1, link=1, modified=1)),
+    (["verify", "ct21", *SAMPLES], dict(classify=1, eigenvalues=1, link=1)),
+    (["absorption", "ct21"], dict(classify=1, eigenvalues=1)),
+    (["spectrum", "bd3"], dict(classify=1, eigenvalues=1)),
+], ids=["sst-erg3", "verify-bd3", "verify-gen3-general", "verify-ct21", "absorption-ct21",
+        "spectrum-bd3"])
+def test_cli_runs_each_stage_once(chain_file, stage_counts, capsys, argv, expected):
+    files = {
+        "bd3": chain_file(BD3_MATRIX, name="bd3.json"),
+        "gen3i": chain_file(GEN3_MATRIX, name="gen3i.json", initial=[0.3, 0.5, 0.2]),
+        "erg3": chain_file(ERG3_MATRIX, name="erg3.json"),
+        "ct21": chain_file(CT21_MATRIX, mode="continuous", name="ct21.json"),
+    }
+    command, chain, *rest = argv
+    assert main([command, files[chain], *rest]) == 0
+    capsys.readouterr()
+    assert dict(stage_counts) == expected
+
+
+@pytest.mark.parametrize("chain, mode, m0, expected", [
+    ("bd3", "skipfree", None, dict(classify=1, eigenvalues=1, link=1)),
+    ("gen3", "general", [0.3, 0.5, 0.2], dict(classify=1, eigenvalues=1, link=1, modified=1)),
+    ("ct21", "continuous", None, dict(classify=1, eigenvalues=1, link=1)),
+])
+def test_library_verify_runs_each_stage_once(request, stage_counts, chain, mode, m0, expected):
+    verify(request.getfixturevalue(chain), mode=mode, samples=2000, seed=12, m0=m0)
+    assert dict(stage_counts) == expected
+
+
+def test_stages_are_cached(gen3, stage_counts):
+    analysis = Analysis(gen3, [0.3, 0.5, 0.2])
+    for _ in range(2):
+        law = analysis.absorption_law()
+        assert analysis.modified.link.rows.shape == (3, 3)
+        assert analysis.dual.thetas is analysis.spectrum.values
+    assert law.mean() == absorption_law(gen3, [0.3, 0.5, 0.2]).mean()
+    assert dict(stage_counts) == dict(classify=2, eigenvalues=2, link=2, modified=1)
+
+
+def test_verify_takes_the_callers_analysis(bd3, gen3):
+    analysis = Analysis(bd3)
+    report = verify(analysis, mode="skipfree", samples=2000, seed=12)
+    assert report.to_dict() == verify(bd3, mode="skipfree", samples=2000, seed=12).to_dict()
+    with pytest.raises(ValueError, match="own initial law"):
+        verify(analysis, mode="skipfree", samples=2000, seed=12, m0=[1.0, 0.0, 0.0])
+    with pytest.raises(ValueError, match="starts at state 0"):
+        verify(Analysis(gen3, [0.3, 0.5, 0.2]), mode="skipfree", samples=2000, seed=12)
+
+
+def test_generator_class_is_its_uniformized_kernels_class():
+    # Analysis classifies a generator once and reuses that class for its kernel
+    rng = np.random.default_rng(0)
+    for _ in range(400):
+        n = int(rng.integers(2, 30))
+        draw = random_birth_death_generator if rng.random() < 0.5 else random_skipfree_generator
+        mat = draw(rng, n)
+        if rng.random() < 0.5:  # an ergodic variant: the target steps down again
+            mat[-1, -2], mat[-1, -1] = 1.0, -1.0
+        gen = RateGenerator(mat)
+        assert classify_generator(gen) == classify_kernel(uniformize(gen)[0])

@@ -12,11 +12,14 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import BD3_MATRIX, CT21_MATRIX, ERG3_MATRIX, GEN3_MATRIX
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
 def run_cli(*args, stdin=None, env=None):
@@ -68,6 +71,17 @@ class TestValidate:
         r = run_cli("validate", chain_file(BD3_MATRIX, typo=1))
         assert r.returncode == 2
         assert "typo" in r.stderr
+
+    def test_boolean_target_exits_2(self, chain_file):
+        # JSON true is a Python int; it must not pass for state 1
+        r = run_cli("validate", chain_file(BD3_MATRIX, target=True))
+        assert r.returncode == 2
+        assert "target must be a state index" in r.stderr
+
+    def test_string_labels_exit_2(self, chain_file):
+        r = run_cli("validate", chain_file(BD3_MATRIX, labels="abc"))
+        assert r.returncode == 2
+        assert "labels must be 3 strings" in r.stderr
 
     def test_target_relabeling(self, chain_file):
         # same chain with the absorbing state listed first
@@ -282,3 +296,14 @@ class TestOutput:
         r = run_cli("absorption", "-", stdin=text)
         assert r.returncode == 0
         assert json.loads(r.stdout)["law"]["mean"] == pytest.approx(8.0)
+
+
+class TestScripts:
+    """The scripts run on the public API, so they run here too."""
+
+    @pytest.mark.parametrize("script, args", [("bd3_walkthrough.py", []),
+                                              ("random_sweep.py", ["--count", "5"])])
+    def test_script_exits_0(self, script, args):
+        r = subprocess.run([sys.executable, str(SCRIPTS / script), *args],
+                           capture_output=True, text=True)
+        assert r.returncode == 0, r.stderr

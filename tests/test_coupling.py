@@ -9,6 +9,7 @@ import pytest
 from scipy import stats
 
 from ssdual import (
+    Analysis,
     DiscreteAbsorptionLaw,
     InsufficientSamples,
     NotStochasticLink,
@@ -181,8 +182,8 @@ class TestVerify:
 
 def _lockstep(chain, mode, samples, seed, horizon=MAX_HORIZON, m0=None):
     """Counts of ``verify``'s lockstep simulator, without the gates."""
-    sim, _ = coupling._coupling(chain, mode, m0, samples=samples, seed=seed,
-                                horizon=horizon, t_cap=0 if mode == "continuous" else 64)
+    sim = coupling._coupling(Analysis(chain, m0), mode, samples=samples, seed=seed,
+                             horizon=horizon, t_cap=0 if mode == "continuous" else 64)
     return sim.count(0, -(-samples // _TRACE_BLOCK))
 
 

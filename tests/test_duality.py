@@ -226,18 +226,18 @@ class TestModifiedDual:
 
 class TestMonotoneReversal:
     def test_erg3_monotone(self, erg3):
-        rep = check_monotone_reversal(erg3)
+        rep = check_monotone_reversal(erg3, stationary_law(erg3))
         assert rep.monotone and rep.witness is None
 
     def test_symmetric_cycle_not_monotone(self):
         k, _ = validate_kernel([[0.0, 0.5, 0.5], [0.5, 0.0, 0.5], [0.5, 0.5, 0.0]])
-        rep = check_monotone_reversal(k)
+        rep = check_monotone_reversal(k, stationary_law(k))
         assert not rep.monotone
         assert rep.witness == (0, 1)
 
     def test_reversal_of_reversible_chain_is_itself(self, erg3):
-        rep = check_monotone_reversal(erg3)
         pi = stationary_law(erg3)
+        rep = check_monotone_reversal(erg3, pi)
         expected = erg3.matrix.T * pi[None, :] / pi[:, None]
         assert np.abs(rep.reversal - expected).max() < 1e-14
         assert np.abs(rep.reversal - erg3.matrix).max() < 1e-14

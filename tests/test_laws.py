@@ -25,11 +25,11 @@ from ssdual import (
     power_cdf_oracle,
     separation,
     sst_law,
+    stationary_law,
     uniformize,
     validate_generator,
     validate_kernel,
 )
-from ssdual.laws import resolvent_entry
 from ssdual.families import (
     random_birth_death_generator,
     random_skipfree_generator,
@@ -127,34 +127,25 @@ class TestDiscreteAbsorptionLaw:
 
 
 class TestPgf:
-    def test_forms_agree_on_disc(self, gen3):
-        law = absorption_law(gen3)
-        rng = np.random.default_rng(3)
-        for u in rng.uniform(-0.9, 0.9, size=20):
-            assert abs(law.pgf(u) - law.pgf(u, form="resolvent")) < 1e-12
+    def test_product_form_matches_power_series(self, bd3, gen3):
+        # E[u^T] = sum_t u^t (F(t) - F(t-1)), with F from matrix powering and
+        # the series cut where |u|^t < 1e-16
+        for kernel, m0 in ((bd3, None), (gen3, [0.3, 0.5, 0.2])):
+            law = absorption_law(kernel, m0)
+            for u in np.random.default_rng(3).uniform(-0.9, 0.9, size=20):
+                t_max = int(np.ceil(np.log(1e-16) / np.log(abs(u))))
+                pmf = np.diff(power_cdf_oracle(kernel, m0, t_max), prepend=0.0)
+                assert abs(law.pgf(u) - np.sum(u ** np.arange(t_max + 1) * pmf)) <= 1e-12
 
     def test_pgf_at_one_is_total_mass(self, bd3, gen3):
         for k in (bd3, gen3):
             law = absorption_law(k)
             assert law.pgf(1.0) == pytest.approx(1.0, abs=1e-12)
-            assert law.pgf(1.0, form="resolvent") == pytest.approx(1.0, abs=1e-12)
-
-    def test_resolvent_spot_value(self):
-        # thetas (1/4, 3/4, 1), u = 1/2, entry (0, 2)
-        v = resolvent_entry([0.25, 0.75, 1.0], 0.5, 0, 2)
-        assert v == pytest.approx(6.0 / 35.0, abs=1e-16)
-        solve = np.linalg.solve(
-            np.eye(3) - 0.5 * np.array([[0.25, 0.75, 0.0], [0.0, 0.75, 0.25], [0.0, 0.0, 1.0]]),
-            np.eye(3)[:, 2],
-        )
-        assert v == pytest.approx(solve[0], abs=1e-14)
 
     def test_pole_raises(self):
-        with pytest.raises(PoleAtU):
-            resolvent_entry([0.25, 0.75], 4.0, 0, 1)
         law_pole = DiscreteAbsorptionLaw(np.array([0.5]), np.array([0.0, 1.0]))
         with pytest.raises(PoleAtU):
-            law_pole.pgf(2.0, form="resolvent")
+            law_pole.pgf(2.0)
 
 
 class TestImaginaryGuard:
@@ -178,7 +169,7 @@ class TestSstLaw:
         assert law.thetas == pytest.approx([0.0, 0.5], abs=1e-14)
         assert abs(law.cdf(1) - 0.0) <= 1e-14
         assert abs(law.cdf(2) - 0.5) <= 1e-14
-        assert law.stationary == pytest.approx([0.25, 0.5, 0.25], abs=1e-14)
+        assert stationary_law(erg3) == pytest.approx([0.25, 0.5, 0.25], abs=1e-14)
 
     def test_erg3_cdf_is_one_minus_separation(self, erg3):
         law = sst_law(erg3)

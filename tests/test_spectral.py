@@ -19,6 +19,7 @@ from ssdual import (
     stationary_law,
     validate_kernel,
 )
+from ssdual.config import TOL_EIG
 from ssdual.families import (
     random_birth_death_kernel,
     random_ergodic_birth_death,
@@ -274,3 +275,18 @@ def test_lazy_ergodic_birth_death_spectrum(seed, n):
     assert spec.all_nonneg_real
     assert spec.values[-1] == 1.0
     assert np.all(np.diff(spec.values.real) >= -1e-15)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_large_ergodic_birth_death_takes_the_top_value_as_unit(seed):
+    # the second eigenvalue is within 3e-10 (seed 0) and 3e-13 (seed 1) of
+    # the unit one, inside the TOL_EIG window
+    k = TransitionKernel(random_ergodic_birth_death(np.random.default_rng(seed), 1000))
+    spec = eigenvalues(k)
+    assert spec.method == "tridiagonal"
+    sym = np.sqrt(k.matrix * k.matrix.T)
+    np.fill_diagonal(sym, np.diagonal(k.matrix))
+    reference = np.linalg.eigvalsh(sym)
+    assert abs(reference[-1] - 1.0) <= TOL_EIG
+    assert spec.values[-1] == 1.0
+    assert np.array_equal(spec.nonunit, reference[:-1])
