@@ -37,7 +37,7 @@ from .chains import (
 )
 from .config import VerifyThresholds, tol_alg
 from .coupling import verify
-from .duality import check_intertwining, mixture_weights, separation
+from .duality import check_intertwining, mixture_weights
 from .errors import HypothesisFailed, SSDualError, TargetNotAccessible, ValidationError
 from .laws import Analysis, ContinuousAbsorptionLaw
 from .spectral import classify_spectrum, polynomial_residuals
@@ -457,7 +457,7 @@ def cmd_sst(args) -> int:
     t_top = int(args.t_max) if args.t_max is not None else law.quantile(1.0 - 1e-6)
     ts = np.array(_int_grid(t_top))
     exact = np.real(np.atleast_1d(law.cdf(ts)))
-    profile = separation(loaded.chain, loaded.initial, t_max=int(t_top))
+    profile = analysis.separation(int(t_top))
     sep = profile.s[ts]
 
     summary = _base_summary("sst", loaded)

@@ -10,19 +10,24 @@ the climb-or-jump structure of the modified dual (general case).
 and the law under test is read off the same stages.  It simulates its
 traces in lockstep blocks of ``config._TRACE_BLOCK``; each block draws from
 its own counter-based Philox stream, keyed (seed, block index), so results
-are reproducible for any partition of blocks across workers.  The scalar
+are reproducible for any partition of blocks across workers; the process
+pool is imported only when there is more than one worker.  The scalar
 ``simulate_*`` functions are one-trace references.
 
 The harness counts each block into arrays and applies the gates: exact-law
 KS on absorption times, chi-square on the per-step conditional laws,
 chi-square on the largest-level statistic, per-segment climb laws, and
 zero-tolerance structural counts (domination, simultaneous absorption,
-link-support positivity).
+link-support positivity).  All chi-square tables go through one array pass
+with forward bin merging (``_chi_square``).  The discrete gates take their
+p-values from numpy series (``_chi2_sf`` for whole degrees of freedom,
+``_kolmogorov_sf``), so they load no scipy module; only the continuous KS
+gates call ``scipy.stats.kstwo``.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
+import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -567,34 +572,87 @@ class _Continuous(_Lockstep):
 # ---------------------------------------------------------------------------
 
 
-def _chi_square_binned(observed: np.ndarray, probs: np.ndarray, min_expected: float):
-    """Chi-square with forward bin merging; returns (stat, dof) or None."""
-    n = observed.sum()
-    if n == 0:
-        return None
-    exp = probs * n
-    merged_obs, merged_exp = [], []
-    acc_o, acc_e = 0.0, 0.0
-    for o, e in zip(observed.tolist(), exp.tolist()):  # Python floats: same sums, faster
-        acc_o += o
-        acc_e += e
-        if acc_e >= min_expected:
-            merged_obs.append(acc_o)
-            merged_exp.append(acc_e)
-            acc_o, acc_e = 0.0, 0.0
-    if acc_e > 0 or acc_o > 0:
-        if merged_exp:
-            merged_obs[-1] += acc_o
-            merged_exp[-1] += acc_e
-        else:
-            merged_obs.append(acc_o)
-            merged_exp.append(acc_e)
-    dof = len(merged_obs) - 1
-    if dof < 1:
-        return None
-    obs, expected = np.asarray(merged_obs), np.asarray(merged_exp)
-    stat = float(np.sum((obs - expected) ** 2 / expected))
-    return stat, dof
+def _chi_square(observed: np.ndarray, probs: np.ndarray, min_expected: float):
+    """Chi-square statistics of the rows of a table, with forward bin merging.
+
+    Row i compares ``observed[i]`` with ``probs[i]`` times the row's total.
+    Walking the columns in order, every row accumulates observed and expected
+    counts and closes a bin once the expected count reaches ``min_expected``;
+    what is left at the end is folded into the row's last bin, or becomes its
+    only bin.  Trailing columns of zero counts and zero probability change
+    nothing, so rows of different widths may be padded with them.
+
+    Returns the statistics and degrees of freedom of the rows with at least
+    one degree of freedom, in row order.  Each statistic is summed over its
+    own bins alone, so it equals the one-row computation bit for bit.
+    """
+    m, width = observed.shape
+    total = observed.sum(axis=1)
+    expected = probs * total[:, None]
+    bin_obs, bin_exp = np.zeros((2, m, width))
+    bins = np.zeros(m, dtype=np.int64)
+    acc_o, acc_e = np.zeros((2, m))
+    for j in range(width):
+        acc_o += observed[:, j]
+        acc_e += expected[:, j]
+        rows = np.flatnonzero(acc_e >= min_expected)
+        if rows.size:
+            bin_obs[rows, bins[rows]] = acc_o[rows]
+            bin_exp[rows, bins[rows]] = acc_e[rows]
+            bins[rows] += 1
+            acc_o[rows] = acc_e[rows] = 0.0
+    # fold the remainder in; adding an empty remainder leaves a bin unchanged
+    last = np.arange(m), np.maximum(bins - 1, 0)
+    bin_obs[last] += acc_o
+    bin_exp[last] += acc_e
+    bins = np.where((acc_o > 0) | (acc_e > 0), np.maximum(bins, 1), bins)
+    keep = np.flatnonzero((bins >= 2) & (total > 0))
+    bins = bins[keep]
+    stats = np.empty(len(keep))
+    for size in np.unique(bins):  # one sum per bin count, in the order of a 1-d np.sum
+        sel = bins == size
+        obs, exp = bin_obs[keep[sel], :size], bin_exp[keep[sel], :size]
+        stats[sel] = ((obs - exp) ** 2 / exp).sum(axis=1)
+    return stats, bins - 1
+
+
+def _chi2_sf(dof, x) -> np.ndarray:
+    """Chi-square survival function for whole degrees of freedom k: Q(k/2, x/2).
+
+    With a = k/2 and y = x/2, Q(a, y) is erfc(sqrt(y)) (k odd only) plus the
+    terms e^{-y} y^p / Gamma(p + 1) for p = a - 1, a - 2, ... down to 0 or
+    1/2.  Every term is positive, so no digits cancel; each is formed in log
+    space, so e^{-y} underflowing does not zero a term that is not negligible.
+    """
+    dof, x = np.broadcast_arrays(np.atleast_1d(np.asarray(dof, dtype=np.int64)),
+                                 np.atleast_1d(np.asarray(x, dtype=float)))
+    y = x / 2.0
+    i = np.arange(1, dof.max(initial=0) // 2 + 1)
+    twice_p = dof[..., None] - 2 * i  # 2p, negative past the last term
+    log_gamma = np.array([math.lgamma(h / 2.0) for h in range(2, twice_p.max(initial=0) + 3)])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_terms = (twice_p / 2.0 * np.log(y)[..., None] - y[..., None]
+                     - log_gamma[np.maximum(twice_p, 0)])
+        q = np.where(twice_p >= 0, np.exp(log_terms), 0.0).sum(axis=-1)
+    odd = dof % 2 == 1
+    q[odd] += [math.erfc(v) for v in np.sqrt(y[odd]).tolist()]
+    return np.where(y > 0.0, q, 1.0)
+
+
+def _kolmogorov_sf(y) -> np.ndarray:
+    """Survival function of Kolmogorov's limiting law, P(K > y).
+
+    2 sum_k (-1)^{k-1} e^{-2k^2 y^2} for y >= 1, and below 1 the Jacobi-theta
+    form 1 - sqrt(2 pi)/y sum_k e^{-(2k-1)^2 pi^2 / (8 y^2)}; five terms of
+    either series leave a relative error below 1e-20 on its side of 1.
+    """
+    y = np.atleast_1d(np.asarray(y, dtype=float))
+    k, yy = np.arange(1.0, 6.0), (y * y)[..., None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        large = 2.0 * ((-1.0) ** (k - 1.0) * np.exp(-2.0 * k * k * yy)).sum(axis=-1)
+        small = 1.0 - np.sqrt(2.0 * np.pi) / y * np.exp(
+            -((2.0 * k - 1.0) ** 2) * np.pi ** 2 / (8.0 * yy)).sum(axis=-1)
+    return np.where(y >= 1.0, large, np.where(y > 0.0, small, 1.0))
 
 
 def _bonferroni(pvalues, alpha: float):
@@ -708,6 +766,8 @@ def verify(
     per_job = -(-blocks // max(jobs, 1))
     spans = [(lo, min(lo + per_job, blocks)) for lo in range(0, blocks, per_job)]
     if len(spans) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=len(spans)) as pool:
             futures = [pool.submit(sim.count, lo, hi) for lo, hi in spans]
             counts = futures[0].result()
@@ -755,10 +815,6 @@ def _ks_two_sided(x: np.ndarray, cdf) -> tuple[float, float]:
 
 def _build_report(mode, samples, seed, law, counts: _Counts, thresholds,
                   thetas, link_rows) -> VerifyReport:
-    # chi-square and Kolmogorov survival functions; scipy.stats is loaded
-    # only by the continuous gates
-    from scipy.special import chdtrc, kolmogorov
-
     alpha = thresholds.significance
     times = np.concatenate(counts.times) if counts.times else np.empty(0)
     if len(times) == 0:
@@ -779,23 +835,25 @@ def _build_report(mode, samples, seed, law, counts: _Counts, thresholds,
         ks_pvalue = None
         ks_passed = ks_stat <= ks_threshold
 
-    # conditional-law chi-square per (t, dual state) cell
-    cond_tests = []
+    # conditional-law chi-square per (t, dual state) cell, over each level's
+    # support columns: one table, its rows left-aligned and padded with zeros
+    cond_results = np.empty(0)
     if counts.cells is not None:
-        occupied = counts.cells.sum(axis=2) >= thresholds.min_cell_count
-        for t, level in zip(*np.nonzero(occupied)):
-            probs = np.clip(link_rows[level], 0.0, None)
-            support = probs > 0.0
-            if support.sum() < 2:
-                continue
-            res = _chi_square_binned(counts.cells[t, level][support],
-                                     probs[support] / probs[support].sum(),
-                                     thresholds.min_expected)
-            if res is not None:
-                cond_tests.append(res)
-    # one vectorized survival-function call: the per-call overhead dominates
-    cond_stats, cond_dofs = np.array(cond_tests).reshape(-1, 2).T
-    cond_results = chdtrc(cond_dofs, cond_stats)
+        n = link_rows.shape[0]
+        support_probs = np.zeros((n, n))
+        support_cols = np.full((n, n), n)  # column n of the padded rows is zero
+        for level, probs in enumerate(np.clip(link_rows, 0.0, None)):
+            cols = np.flatnonzero(probs > 0.0)
+            support_probs[level, : len(cols)] = probs[cols] / probs[cols].sum()
+            support_cols[level, : len(cols)] = cols
+        t_idx, levels = np.nonzero(counts.cells.sum(axis=2) >= thresholds.min_cell_count)
+        tested = support_cols[levels, 1] < n  # two support states or more
+        t_idx, levels = t_idx[tested], levels[tested]
+        rows = np.zeros((len(levels), n + 1), dtype=np.int64)
+        rows[:, :n] = counts.cells[t_idx, levels]
+        cond_stats, cond_dofs = _chi_square(np.take_along_axis(rows, support_cols[levels], axis=1),
+                                            support_probs[levels], thresholds.min_expected)
+        cond_results = _chi2_sf(cond_dofs, cond_stats)
     conditional_cells = len(cond_results)
     conditional_alpha, conditional_min_p, conditional_passed = _bonferroni(cond_results, alpha)
     if mode != "continuous" and conditional_cells == 0:
@@ -813,15 +871,15 @@ def _build_report(mode, samples, seed, law, counts: _Counts, thresholds,
         weights = np.clip(law.weights.real if np.iscomplexobj(law.weights) else law.weights,
                           0.0, None)
         observed = counts.largest[: len(weights)].astype(float)
-        res = _chi_square_binned(observed, weights / weights.sum(), thresholds.min_expected)
-        if res is not None:
-            l_stat, dof = res
-            l_pvalue = float(chdtrc(dof, l_stat))
+        l_stats, l_dofs = _chi_square(observed[None], (weights / weights.sum())[None],
+                                      thresholds.min_expected)
+        if len(l_stats):
+            l_stat, l_pvalue = float(l_stats[0]), float(_chi2_sf(l_dofs, l_stats)[0])
             l_passed = l_pvalue >= alpha
 
     # per-segment climb laws: geometric (discrete) or exponential (continuous);
     # discrete segments use the conservative asymptotic Kolmogorov p-value
-    seg_results = []
+    seg_results, kolmogorov_args = [], []
     for key in sorted(counts.segments):
         durs = np.concatenate(counts.segments[key])
         if len(durs) < thresholds.min_cell_count:
@@ -841,7 +899,8 @@ def _build_report(mode, samples, seed, law, counts: _Counts, thresholds,
             hist = np.bincount(durs.astype(np.int64), minlength=kmax + 1)[1:]
             ecdf = np.cumsum(hist) / len(durs)
             d_seg = float(np.abs(ecdf - cdf_geom).max())
-            seg_results.append(float(kolmogorov(d_seg * np.sqrt(len(durs)))))
+            kolmogorov_args.append(d_seg * np.sqrt(len(durs)))
+    seg_results += _kolmogorov_sf(kolmogorov_args).tolist()
     segments_tested = len(seg_results)
     segment_alpha, segment_min_p, segments_passed = _bonferroni(seg_results, alpha)
     if mode == "continuous" and segments_tested == 0:

@@ -376,11 +376,14 @@ def separation(kernel: TransitionKernel, m0=None, t_max: int | None = None) -> S
     the profile is cut at the first step below CDF_TAIL.  The values agree
     with a step-by-step scan to rounding, not bit for bit.
     """
-    cls = classify_kernel(kernel)
-    if not cls.ergodic:
+    if not classify_kernel(kernel).ergodic:
         raise NotErgodic("separation requires an ergodic kernel")
-    pi = stationary_law(kernel)
-    vec = as_initial(m0, kernel.n)
+    return _separation(kernel, stationary_law(kernel), as_initial(m0, kernel.n), t_max)
+
+
+def _separation(kernel: TransitionKernel, pi: np.ndarray, vec: np.ndarray,
+                t_max: int | None) -> SeparationProfile:
+    """``separation`` of an ergodic kernel with stationary law ``pi``, from the law ``vec``."""
     n, d = kernel.n, kernel.d
     block = max(1, min(_BLOCK_STEPS, _SEP_ENTRIES // (n * n)))
     powers = [np.eye(n)]

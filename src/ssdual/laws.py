@@ -58,11 +58,12 @@ from .duality import (
     LinkMatrix,
     ModifiedDual,
     MonotoneReport,
+    SeparationProfile,
+    _separation,
     build_dual,
     build_link,
     build_modified_dual,
     check_monotone_reversal,
-    separation,
 )
 from .spectral import SpectrumReport, eigenvalues
 
@@ -451,6 +452,12 @@ class Analysis:
         structural = self.monotone.monotone and bool(np.all(np.diff(ratios) <= 1e-12))
         return "structural" if structural else "separation-scan"
 
+    def separation(self, t_max: int | None = None) -> SeparationProfile:
+        """The separation profile from the initial law; see ``duality.separation``."""
+        if not self.chain_class.ergodic:
+            raise NotErgodic("separation requires an ergodic kernel")
+        return _separation(self.kernel, self.stationary, self.m0, t_max)
+
     def absorption_law(self) -> DiscreteAbsorptionLaw | ContinuousAbsorptionLaw:
         """The hitting-time law of the target; see the module function ``absorption_law``.
 
@@ -481,7 +488,7 @@ class Analysis:
                 raise MonotoneHypothesisFails(
                     f"time reversal is not stochastically monotone (rows {self.monotone.witness})"
                 )
-            profile = separation(self.kernel, self.m0, t_max=scan_horizon)
+            profile = self.separation(scan_horizon)
             if not profile.minimized_at_target:
                 bad = int(np.nonzero(profile.argmin_state != self.kernel.d)[0][0])
                 raise MonotoneHypothesisFails(

@@ -10,10 +10,12 @@ import pytest
 
 from ssdual import (
     Analysis,
+    NotErgodic,
     RateGenerator,
     absorption_law,
     classify_generator,
     classify_kernel,
+    separation,
     uniformize,
     verify,
 )
@@ -58,9 +60,9 @@ SAMPLES = ["--samples", "2000", "--seed", "12"]
 
 
 @pytest.mark.parametrize("argv, expected", [
-    # sst: the two extra classifications and the extra pi are separation's input checks
+    # sst: the second classification is stationary_law's own input check
     (["sst", "erg3", "--oracle"],
-     dict(classify=4, eigenvalues=1, link=1, stationary=2, monotone=1)),
+     dict(classify=2, eigenvalues=1, link=1, stationary=1, monotone=1)),
     (["verify", "bd3", *SAMPLES], dict(classify=1, eigenvalues=1, link=1)),
     (["verify", "gen3i", "--mode", "general", *SAMPLES],
      dict(classify=1, eigenvalues=1, link=1, modified=1)),
@@ -100,6 +102,19 @@ def test_stages_are_cached(gen3, stage_counts):
         assert analysis.dual.thetas is analysis.spectrum.values
     assert law.mean() == absorption_law(gen3, [0.3, 0.5, 0.2]).mean()
     assert dict(stage_counts) == dict(classify=2, eigenvalues=2, link=2, modified=1)
+
+
+@pytest.mark.parametrize("m0, t_max", [(None, None), ([0.2, 0.3, 0.5], 150)])
+def test_separation_reads_the_analysis(erg3, bd3, stage_counts, m0, t_max):
+    analysis = Analysis(erg3, m0)
+    profile = analysis.separation(t_max)
+    assert dict(stage_counts) == dict(classify=2, stationary=1)  # pi's own input check
+    reference = separation(erg3, m0, t_max)
+    assert np.array_equal(profile.s, reference.s)
+    assert np.array_equal(profile.argmin_state, reference.argmin_state)
+    assert profile.minimized_at_target == reference.minimized_at_target
+    with pytest.raises(NotErgodic):
+        Analysis(bd3).separation(10)
 
 
 def test_verify_takes_the_callers_analysis(bd3, gen3):

@@ -264,6 +264,10 @@ def test_import_leaves_scipy_linalg_unloaded():
     assert not _loaded_by_import("scipy.linalg")
 
 
+def test_import_leaves_the_process_pool_unloaded():
+    assert not _loaded_by_import("concurrent.futures.process")
+
+
 def test_discrete_commands_leave_scipy_linalg_and_stats_unloaded(tmp_path):
     # every discrete command in one fresh interpreter, then its module table
     for name, matrix in (("bd3", BD3_MATRIX), ("erg3", ERG3_MATRIX)):
@@ -275,18 +279,20 @@ def test_discrete_commands_leave_scipy_linalg_and_stats_unloaded(tmp_path):
         ["dual", "erg3.json"],
         ["absorption", "bd3.json", "--oracle", "--out", "abs"],
         ["sst", "erg3.json", "--oracle", "--out", "sst"],
+        ["simulate", "bd3.json", "--samples", "2000", "--seed", "2"],
         ["verify", "bd3.json", "--samples", "2000", "--seed", "1"],
     ]
+    unloaded = ["scipy.linalg", "scipy.stats", "scipy.special", "concurrent.futures.process"]
     code = (
         "import contextlib, io, json, sys\n"
         "from ssdual.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    codes = [main(argv) for argv in {runs!r}]\n"
-        "print(json.dumps([codes, 'scipy.linalg' in sys.modules, 'scipy.stats' in sys.modules]))\n"
+        f"print(json.dumps([codes, [m for m in {unloaded!r} if m in sys.modules]]))\n"
     )
     src = Path(__file__).resolve().parents[1] / "src"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(src)}, check=True)
-    codes, linalg, stats = json.loads(out.stdout)
+    codes, loaded = json.loads(out.stdout)
     assert codes == [0] * len(runs)
-    assert not linalg and not stats
+    assert loaded == []

@@ -17,6 +17,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ssdual.config import _TRACE_BLOCK
+
 from conftest import BD3_MATRIX, CT21_MATRIX, ERG3_MATRIX, GEN3_MATRIX
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -250,9 +252,12 @@ class TestSimulateAndVerify:
         assert via_flag.stdout == via_env.stdout
 
     def test_jobs_do_not_change_report(self, chain_file):
+        # two blocks of traces, so --jobs 2 runs them in the process pool
         path = chain_file(BD3_MATRIX)
-        one = run_cli("verify", path, "--samples", "1200", "--seed", "4")
-        two = run_cli("verify", path, "--samples", "1200", "--seed", "4", "--jobs", "2")
+        samples = str(_TRACE_BLOCK + 1200)
+        one = run_cli("verify", path, "--samples", samples, "--seed", "4")
+        two = run_cli("verify", path, "--samples", samples, "--seed", "4", "--jobs", "2")
+        assert one.returncode == two.returncode == 0
         assert one.stdout == two.stdout
 
     def test_failed_gate_exits_5_simulate_does_not(self, chain_file):

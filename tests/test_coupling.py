@@ -28,7 +28,7 @@ from ssdual import (
     verify,
 )
 from ssdual import coupling
-from ssdual.config import _TRACE_BLOCK, MAX_HORIZON
+from ssdual.config import _TRACE_BLOCK, MAX_HORIZON, VerifyThresholds
 from ssdual.families import random_birth_death_kernel, random_initial_law, random_skipfree_kernel
 
 from test_spectral import COMPLEX4
@@ -334,20 +334,102 @@ class TestLockstepAgainstReference:
                                    [ref_bad, 1000 - ref_bad]])[1] > 1e-3
 
 
+def _chi_square_binned(observed: np.ndarray, probs: np.ndarray, min_expected: float):
+    """One-row reference for ``coupling._chi_square``: (stat, dof), or None below one dof."""
+    n = observed.sum()
+    if n == 0:
+        return None
+    exp = probs * n
+    merged_obs, merged_exp = [], []
+    acc_o, acc_e = 0.0, 0.0
+    for o, e in zip(observed.tolist(), exp.tolist()):
+        acc_o += o
+        acc_e += e
+        if acc_e >= min_expected:
+            merged_obs.append(acc_o)
+            merged_exp.append(acc_e)
+            acc_o, acc_e = 0.0, 0.0
+    if acc_e > 0 or acc_o > 0:
+        if merged_exp:
+            merged_obs[-1] += acc_o
+            merged_exp[-1] += acc_e
+        else:
+            merged_obs.append(acc_o)
+            merged_exp.append(acc_e)
+    dof = len(merged_obs) - 1
+    if dof < 1:
+        return None
+    obs, expected = np.asarray(merged_obs), np.asarray(merged_exp)
+    stat = float(np.sum((obs - expected) ** 2 / expected))
+    return stat, dof
+
+
 class TestGateStatistics:
-    """The gates' p-values are scipy.stats' own, without its wrappers."""
+    """The gates' statistics against one-cell references, their p-values against scipy.stats."""
 
     def test_special_functions_equal_the_distributions(self):
-        from scipy.special import chdtrc, kolmogorov
+        x = np.concatenate([[0.0], np.geomspace(1e-3, 4000.0, 800)])
+        for dof in range(1, 201):
+            ref = stats.chi2.sf(x, dof)
+            got = coupling._chi2_sf(dof, x)
+            shown = ref >= 1e-300
+            assert got[0] == 1.0
+            np.testing.assert_allclose(got[shown], ref[shown], rtol=1e-12, atol=0.0)
+            assert np.all(got[~shown] < 1e-299)
+        # both sides of the switch between the series at 1, and the tail
+        y = np.concatenate([np.linspace(0.0, 3.0, 3001), np.linspace(3.0, 18.0, 1501)])
+        np.testing.assert_allclose(coupling._kolmogorov_sf(y), stats.kstwobign.sf(y),
+                                   rtol=1e-13, atol=0.0)
 
-        x = np.concatenate([[0.0], np.geomspace(1e-3, 400.0, 400)])
-        for dof in (1, 2, 3, 7, 40, 113):
-            assert np.array_equal(chdtrc(float(dof), x), stats.chi2.sf(x, dof))
-        dofs = np.repeat(np.arange(1.0, 9.0), 50)
-        xs = np.resize(x[1:], len(dofs))
-        assert np.array_equal(chdtrc(dofs, xs), stats.chi2.sf(xs, dofs))
-        y = np.linspace(0.0, 3.0, 601)
-        assert np.array_equal(kolmogorov(y), stats.kstwobign.sf(y))
+    def test_chi_square_rows_equal_the_one_row_merge(self):
+        rng = np.random.default_rng(0)
+        dropped = kept = 0
+        for _ in range(200):
+            m, width = int(rng.integers(1, 40)), int(rng.integers(1, 30))
+            probs = rng.random((m, width)) ** 3
+            probs[rng.random((m, width)) < 0.3] = 0.0  # zero-probability columns
+            probs /= np.maximum(probs.sum(axis=1, keepdims=True), 1e-300)
+            scale = rng.choice([2.0, 30.0, 300.0, 5000.0]) * rng.random((m, 1))
+            observed = rng.poisson(probs * scale)
+            observed[rng.random(m) < 0.1] = 0  # empty cells
+            stat, dof = coupling._chi_square(observed, probs, 5.0)
+            ref = [_chi_square_binned(o, p, 5.0) for o, p in zip(observed, probs)]
+            assert list(zip(stat.tolist(), dof.tolist())) == [r for r in ref if r is not None]
+            kept += len(stat)
+            dropped += sum(r is None and o.sum() > 0 for r, o in zip(ref, observed))
+        assert kept > 1000 and dropped > 100  # both outcomes of the merge are exercised
+
+    @pytest.mark.parametrize("mode", ["skipfree", "general"])
+    def test_report_chi_square_gates_equal_the_cell_by_cell_reference(self, gen3, mode):
+        # lower-triangular link rows: supports of every size up to 12 states
+        chain = (TransitionKernel(random_birth_death_kernel(np.random.default_rng(3), 12, lazy=True))
+                 if mode == "skipfree" else gen3)
+        analysis = Analysis(chain, None if mode == "skipfree" else [0.3, 0.5, 0.2])
+        thresholds = VerifyThresholds()
+        sim = coupling._coupling(analysis, mode, samples=5000, seed=2, horizon=MAX_HORIZON,
+                                 t_cap=thresholds.conditional_t_cap)
+        counts = sim.count(0, -(-5000 // _TRACE_BLOCK))
+        law = analysis.absorption_law()
+        report = coupling._build_report(mode, 5000, 2, law, counts, thresholds,
+                                        analysis.spectrum.nonunit.real, sim.link_rows)
+        cells = []
+        for t, level in zip(*np.nonzero(counts.cells.sum(axis=2) >= thresholds.min_cell_count)):
+            probs = np.clip(sim.link_rows[level], 0.0, None)
+            support = probs > 0.0
+            if support.sum() >= 2:
+                cells.append(_chi_square_binned(counts.cells[t, level][support],
+                                                probs[support] / probs[support].sum(),
+                                                thresholds.min_expected))
+        stat, dof = np.array([c for c in cells if c is not None]).T
+        assert report.conditional_cells == len(stat) > 10
+        assert report.conditional_min_pvalue == pytest.approx(stats.chi2.sf(stat, dof).min(),
+                                                              rel=1e-12)
+        if mode == "general":
+            weights = np.clip(law.weights, 0.0, None)
+            l_stat, l_dof = _chi_square_binned(counts.largest[: len(weights)].astype(float),
+                                               weights / weights.sum(), thresholds.min_expected)
+            assert report.l_chisq_stat == l_stat
+            assert report.l_chisq_pvalue == pytest.approx(stats.chi2.sf(l_stat, l_dof), rel=1e-12)
 
     @pytest.mark.parametrize("n", [1, 2, 50, 3000])
     def test_ks_two_sided_equals_kstest(self, n):
