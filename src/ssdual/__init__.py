@@ -25,7 +25,7 @@ from .chains import (
     validate_generator,
     validate_kernel,
 )
-from .config import VerifyThresholds, tol_alg
+from .config import tol_alg
 from .coupling import (
     CouplingTrace,
     VerifyReport,
@@ -96,7 +96,7 @@ __all__ = [
     "power_cdf_oracle", "stationary_law", "uniformize",
     "validate_generator", "validate_kernel",
     # config
-    "VerifyThresholds", "tol_alg",
+    "tol_alg",
     # spectral
     "PolynomialResiduals", "SpectralPolynomials", "SpectrumReport",
     "classify_spectrum", "eigenvalues", "polynomial_residuals",

@@ -105,19 +105,11 @@ class TransitionKernel:
     """
 
     matrix: np.ndarray
-    target: int = -1
 
     def __post_init__(self) -> None:
         mat = _clean_rows(np.array(self.matrix, dtype=float), "transition kernel")
-        n = mat.shape[0]
-        target = self.target if self.target >= 0 else n - 1
-        if target != n - 1:
-            raise ValidationError(
-                f"target must be the last state {n - 1} (relabel first), got {target}"
-            )
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
-        object.__setattr__(self, "target", target)
 
     @property
     def n(self) -> int:
@@ -138,7 +130,6 @@ class RateGenerator:
     """
 
     matrix: np.ndarray
-    target: int = -1
 
     def __post_init__(self) -> None:
         mat = np.array(self.matrix, dtype=float)
@@ -158,14 +149,8 @@ class RateGenerator:
             raise NonStochastic("rate generator rows do not sum to zero")
         np.fill_diagonal(mat, 0.0)
         np.fill_diagonal(mat, -mat.sum(axis=1))
-        target = self.target if self.target >= 0 else n - 1
-        if target != n - 1:
-            raise ValidationError(
-                f"target must be the last state {n - 1} (relabel first), got {target}"
-            )
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
-        object.__setattr__(self, "target", target)
 
     @property
     def n(self) -> int:
@@ -290,15 +275,13 @@ def classify_generator(gen: RateGenerator) -> ChainClass:
     return cls
 
 
-def validate_kernel(matrix, target: int | None = None) -> tuple[TransitionKernel, ChainClass]:
+def validate_kernel(matrix) -> tuple[TransitionKernel, ChainClass]:
     """Validate a raw matrix as a transition kernel and classify it.
 
     Parameters
     ----------
     matrix : array-like
-        Proposed row-stochastic matrix.
-    target : int, optional
-        Target state; must be the last index (defaults to it).
+        Proposed row-stochastic matrix; its last state is the target.
 
     Returns
     -------
@@ -311,17 +294,16 @@ def validate_kernel(matrix, target: int | None = None) -> tuple[TransitionKernel
     TargetNotAccessible
         Some state cannot reach the target.
     """
-    kernel = TransitionKernel(np.asarray(matrix, dtype=float),
-                              -1 if target is None else target)
+    kernel = TransitionKernel(np.asarray(matrix, dtype=float))
     cls = classify_kernel(kernel)
     if not cls.target_accessible:
         raise TargetNotAccessible("target state is not accessible from every state")
     return kernel, cls
 
 
-def validate_generator(matrix, target: int | None = None) -> tuple[RateGenerator, ChainClass]:
-    """Validate a raw matrix as a rate generator and classify it."""
-    gen = RateGenerator(np.asarray(matrix, dtype=float), -1 if target is None else target)
+def validate_generator(matrix) -> tuple[RateGenerator, ChainClass]:
+    """Validate a raw matrix as a rate generator (last state the target) and classify it."""
+    gen = RateGenerator(np.asarray(matrix, dtype=float))
     cls = classify_generator(gen)
     if not cls.target_accessible:
         raise TargetNotAccessible("target state is not accessible from every state")

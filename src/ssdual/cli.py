@@ -8,7 +8,8 @@ relabeled so that it is, preserving the relative order of the others.
 Loading a file builds the chain's one ``Analysis``; every command reads the
 classification, spectrum, link, duals, stationary law and laws from it, and
 ``verify`` and ``simulate`` hand it to ``coupling.verify``, so the law they
-print is the one the coupling tested.
+print is the one the coupling tested.  ``coupling.verify`` infers the absent
+``--mode``; it and ``Analysis.sst_law`` reject a chain they do not fit.
 
 Exit codes: 0 success, 2 invalid input, 3 failed mathematical precondition,
 4 structural hypothesis rejected, 5 verification gates failed.
@@ -35,7 +36,7 @@ from .chains import (
     mean_absorption_oracle,
     power_cdf_oracle,
 )
-from .config import VerifyThresholds, tol_alg
+from .config import _VERIFY_GATES, tol_alg
 from .coupling import verify
 from .duality import check_intertwining, mixture_weights
 from .errors import HypothesisFailed, SSDualError, TargetNotAccessible, ValidationError
@@ -246,6 +247,16 @@ def _int_grid(t_top: int) -> list[int]:
     return ts
 
 
+def _round_up(t: float) -> float:
+    """``t`` rounded up to three significant digits: a quantile deep in the tail,
+    where F is nearly flat, moves with the last bit of F; its rounded top does not."""
+    mantissa, exponent = f"{t:.2e}".split("e")
+    top = float(f"{mantissa}e{exponent}")
+    if top < t:  # rounded to nearest, and down: one unit in the last digit up
+        top = float(f"{float(mantissa) + 0.01:.2f}e{exponent}")
+    return top
+
+
 # -- subcommands -------------------------------------------------------
 
 
@@ -298,7 +309,7 @@ def cmd_spectrum(args) -> int:
     )
     if rate is not None:
         summary["uniformization_rate"] = rate
-        summary["exponential_rates"] = rate * (1.0 - spectrum.nonunit.real)
+        summary["exponential_rates"] = analysis.rates
     vals = np.atleast_1d(spectrum.values)
     rows = [(k, float(v.real), float(v.imag)) for k, v in enumerate(vals)]
     _emit(args, summary, ("index", "real", "imag"), rows)
@@ -345,7 +356,7 @@ def cmd_dual(args) -> int:
     )
     if rate is not None:
         summary["uniformization_rate"] = rate
-        summary["exponential_rates"] = rate * (1.0 - spectrum.nonunit.real)
+        summary["exponential_rates"] = analysis.rates
 
     modified = None
     if cls.target_absorbing:
@@ -410,7 +421,7 @@ def cmd_absorption(args) -> int:
     law = loaded.analysis.absorption_law()
     oracle = None
     if loaded.mode == "continuous":
-        t_top = float(args.t_max) if args.t_max is not None else law.quantile(1.0 - 1e-6)
+        t_top = _round_up(law.quantile(1.0 - 1e-6)) if args.t_max is None else float(args.t_max)
         ts = np.linspace(0.0, t_top, 201)
         exact = np.atleast_1d(law.cdf(ts))
         if args.oracle:
@@ -450,10 +461,8 @@ def cmd_absorption(args) -> int:
 
 def cmd_sst(args) -> int:
     loaded = load_chain(args.chain)
-    if loaded.mode != "discrete":
-        raise ValidationError("sst requires a discrete chain file")
     analysis = loaded.analysis
-    law = analysis.sst_law(int(args.t_max) if args.t_max is not None else None)
+    law = analysis.sst_law()
     t_top = int(args.t_max) if args.t_max is not None else law.quantile(1.0 - 1e-6)
     ts = np.array(_int_grid(t_top))
     exact = np.real(np.atleast_1d(law.cdf(ts)))
@@ -483,46 +492,24 @@ def cmd_sst(args) -> int:
     return 0
 
 
-def _resolve_mode(loaded: LoadedChain, requested: str | None) -> str:
-    if loaded.mode == "continuous":
-        if requested not in (None, "continuous"):
-            raise ValidationError(f"mode {requested!r} needs a discrete chain file")
-        return "continuous"
-    if requested == "continuous":
-        raise ValidationError("continuous mode needs a continuous chain file")
-    skip_free = loaded.analysis.chain_class.skip_free_up
-    if requested == "skipfree" and not skip_free:
-        raise ValidationError("skipfree mode needs a skip-free chain; use --mode general")
-    if requested is not None:
-        return requested
-    return "skipfree" if skip_free else "general"
-
-
 def _run_verification(args, command: str) -> tuple[int, bool]:
     loaded = load_chain(args.chain)
     analysis = loaded.analysis
-    mode = _resolve_mode(loaded, args.mode)
-    if mode in ("skipfree", "continuous") and not analysis.starts_at_zero:
-        raise ValidationError(
-            f"{mode} coupling starts at state 0; use --mode general for other initials"
-        )
 
     seed = args.seed
     if seed is None:
         seed = int(os.environ.get("SSD_SEED", "0"))
 
     law = analysis.absorption_law()
-    thresholds = VerifyThresholds()
     extra = {}
     if args.horizon is not None:
         extra["horizon"] = args.horizon
     report = verify(
         analysis,
-        mode=mode,
+        mode=args.mode,
         samples=args.samples,
         seed=seed,
         law=law,
-        thresholds=thresholds,
         jobs=args.jobs,
         **extra,
     )
@@ -530,12 +517,13 @@ def _run_verification(args, command: str) -> tuple[int, bool]:
     summary = _base_summary(command, loaded)
     summary["report"] = report.to_dict()
     summary["law"] = _law_dict(law)
-    summary["thresholds"] = asdict(thresholds)
+    summary["thresholds"] = dict(_VERIFY_GATES)
     summary["eigenvalues"] = [[v.real, v.imag] for v in np.atleast_1d(analysis.spectrum.values)]
 
     times = np.sort(np.asarray(report.absorption_times, dtype=float))
     n_times = len(times)
-    if mode == "continuous":
+    continuous = report.mode == "continuous"
+    if continuous:
         t_top = float(times[-1]) if n_times else 1.0
         ts = np.linspace(0.0, t_top, 201)
         exact = np.atleast_1d(law.cdf(ts))
@@ -544,7 +532,7 @@ def _run_verification(args, command: str) -> tuple[int, bool]:
         exact = np.real(np.atleast_1d(law.cdf(ts)))
     ecdf = np.searchsorted(times, ts, side="right") / max(n_times, 1)
     rows = [
-        (float(t) if mode == "continuous" else int(t), float(e), None, float(f), None)
+        (float(t) if continuous else int(t), float(e), None, float(f), None)
         for t, e, f in zip(ts, exact, ecdf)
     ]
     _emit(args, summary, _SERIES_HEADER, rows)

@@ -4,7 +4,7 @@ Every threshold that a validation step or a precision gate depends on lives
 here, so the meaning of "passes" is pinned in one place.
 """
 
-from dataclasses import dataclass
+from types import MappingProxyType
 
 #: Row sums of stochastic matrices (and of rate-generator rows, against zero)
 #: must match their target within this before renormalization is allowed.
@@ -49,21 +49,20 @@ _BLOCK_STEPS = 64
 #: Changing it changes seeded reports; the job count never does.
 _TRACE_BLOCK = 4096
 
+#: Gates of ``verify``, fixed here and reported by the CLI as ``thresholds``.
+_VERIFY_GATES = MappingProxyType({
+    # significance level of each gate; a family of tests shares it by Bonferroni
+    "significance": 0.01,
+    # conditional cells and climb segments with fewer observations are not tested
+    "min_cell_count": 50,
+    # largest epoch tracked for per-(t, dual-state) conditional cells
+    "conditional_t_cap": 64,
+    # bins in a chi-square test are merged until each expected count reaches this
+    "min_expected": 5.0,
+})
+
 
 def tol_alg(n: int) -> float:
     """Tolerance for algebraic identities (intertwinings, row sums of derived
     matrices) on an n-state chain; scales mildly with size."""
     return 1e-10 * n
-
-
-@dataclass(frozen=True, slots=True)
-class VerifyThresholds:
-    """Gate configuration for the Monte Carlo verification harness."""
-
-    significance: float = 0.01
-    #: cells below this occupancy are excluded from conditional-law chi-square
-    min_cell_count: int = 50
-    #: largest epoch tracked for per-(t, dual-state) conditional cells
-    conditional_t_cap: int = 64
-    #: bins in a chi-square test are merged until each expected count reaches this
-    min_expected: float = 5.0

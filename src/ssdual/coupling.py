@@ -7,7 +7,9 @@ the climb-or-jump structure of the modified dual (general case).
 
 ``verify`` takes the link, dual and modified dual of its coupling from an
 ``Analysis`` (its own, or the caller's), so they are built once per request
-and the law under test is read off the same stages.  It simulates its
+and the law under test is read off the same stages.  It infers the mode, or
+rejects one that does not fit the chain, rather than test another law than
+the one asked for; its gates are fixed in ``config``.  It simulates its
 traces in lockstep blocks of ``config._TRACE_BLOCK``; each block draws from
 its own counter-based Philox stream, keyed (seed, block index), so results
 are reproducible for any partition of blocks across workers; the process
@@ -32,7 +34,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .config import _TRACE_BLOCK, MAX_HORIZON, VerifyThresholds
+from .config import _TRACE_BLOCK, _VERIFY_GATES, MAX_HORIZON
 from .errors import InsufficientSamples, NotStochasticLink
 from .chains import RateGenerator, TransitionKernel
 from .duality import DualKernel, LinkMatrix, ModifiedDual
@@ -707,13 +709,12 @@ class VerifyReport:
 def verify(
     chain,
     *,
-    mode: str,
     samples: int,
     seed: int,
+    mode: str | None = None,
     m0=None,
     law=None,
     horizon: int = MAX_HORIZON,
-    thresholds: VerifyThresholds = VerifyThresholds(),
     jobs: int = 1,
 ) -> VerifyReport:
     """Verify the exact law of a chain against coupled dual sample paths.
@@ -721,16 +722,17 @@ def verify(
     Parameters
     ----------
     chain : TransitionKernel, RateGenerator or Analysis
-        Kernel for modes 'skipfree' and 'general', generator for 'continuous',
-        or the ``Analysis`` of one: the coupling is built from its link, dual
-        and modified dual, so a caller that holds the Analysis pays for none
-        of them again.
-    mode : str
-        Coupling construction to exercise.
+        The chain, or its ``Analysis``, whose link, dual and modified dual
+        the coupling then reuses.
     samples, seed : int
         Monte Carlo size and the base of the per-block Philox keys.
+    mode : str, optional
+        'skipfree' (a skip-free kernel from state 0), 'continuous' (a
+        skip-free generator from state 0) or 'general' (any kernel and
+        initial law).  Default: 'continuous' for a generator, else
+        'skipfree' where it fits, else 'general'.
     m0 : optional
-        Initial law for the general mode; an Analysis carries its own.
+        Initial law (default: state 0); an Analysis carries its own.
     law : optional
         The law under test (the chain's own when omitted).  The coupling
         always comes from the chain, so a wrong law meets the true link.
@@ -740,28 +742,39 @@ def verify(
 
     Raises
     ------
+    ValueError
+        Not a chain, unknown mode, or a mode whose coupling does not exist
+        for this chain type, initial law or structure (checked in that order).
     NotStochasticLink
         The coupling construction does not exist for this chain.
     InsufficientSamples
         No statistical gate reached its minimum cell occupancy.
     """
-    if mode not in ("skipfree", "general", "continuous"):
-        raise ValueError(f"unknown mode {mode!r}")
-    continuous = mode == "continuous"
-    chain_type = RateGenerator if continuous else TransitionKernel
     given = isinstance(chain, Analysis)
-    if not isinstance(chain.chain if given else chain, chain_type):
-        raise ValueError(f"{mode} mode requires a {chain_type.__name__}")
+    if not (given or isinstance(chain, (TransitionKernel, RateGenerator))):
+        raise ValueError("verify needs a TransitionKernel, a RateGenerator or an Analysis")
     if given and m0 is not None:
         raise ValueError("an Analysis carries its own initial law; pass no m0")
-    analysis = chain if given else Analysis(chain, m0 if mode == "general" else None)
-    if not (mode == "general" or analysis.starts_at_zero):
-        raise ValueError(f"{mode} coupling starts at state 0; use mode 'general'")
+    analysis = chain if given else Analysis(chain, m0)
+    generator = analysis.rate is not None
+    skip_free = analysis.chain_class.skip_free_up
+    if mode is None:
+        mode = ("continuous" if generator
+                else "skipfree" if skip_free and analysis.starts_at_zero else "general")
+    elif mode not in ("skipfree", "general", "continuous"):
+        raise ValueError(f"unknown mode {mode!r}")
+    if generator != (mode == "continuous"):
+        chain_type = TransitionKernel if generator else RateGenerator
+        raise ValueError(f"{mode} mode requires a {chain_type.__name__}")
+    if mode != "general" and not analysis.starts_at_zero:
+        raise ValueError(f"{mode} coupling starts at state 0; other starts need mode 'general'")
+    if mode != "general" and not skip_free:
+        raise ValueError(f"{mode} coupling needs a skip-free chain; others need mode 'general'")
     if law is None:
         law = analysis.absorption_law()
     # continuous time has no per-step conditional cells
     sim = _coupling(analysis, mode, samples=samples, seed=seed, horizon=horizon,
-                    t_cap=0 if continuous else thresholds.conditional_t_cap)
+                    t_cap=0 if generator else _VERIFY_GATES["conditional_t_cap"])
     blocks = -(-samples // _TRACE_BLOCK)
     per_job = -(-blocks // max(jobs, 1))
     spans = [(lo, min(lo + per_job, blocks)) for lo in range(0, blocks, per_job)]
@@ -776,7 +789,7 @@ def verify(
     else:
         counts = sim.count(0, blocks)
 
-    return _build_report(mode, samples, seed, law, counts, thresholds,
+    return _build_report(mode, samples, seed, law, counts,
                          analysis.spectrum.nonunit.real, sim.link_rows)
 
 
@@ -792,8 +805,7 @@ def _coupling(analysis: Analysis, mode: str, **run) -> _Lockstep:
         raise NotStochasticLink(f"{'continuous' if mode == 'continuous' else 'discrete'} "
                                 "coupling requires a stochastic link")
     if mode == "continuous":
-        rates = analysis.rate * (1.0 - analysis.spectrum.nonunit.real)
-        return _Continuous(analysis.chain, link, rates, **run)
+        return _Continuous(analysis.chain, link, analysis.rates, **run)
     return _SkipFree(analysis.kernel, link, analysis.dual, **run)
 
 
@@ -813,9 +825,10 @@ def _ks_two_sided(x: np.ndarray, cdf) -> tuple[float, float]:
     return float(stat), float(np.clip(stats.kstwo.sf(stat, n), 0.0, 1.0))
 
 
-def _build_report(mode, samples, seed, law, counts: _Counts, thresholds,
+def _build_report(mode, samples, seed, law, counts: _Counts,
                   thetas, link_rows) -> VerifyReport:
-    alpha = thresholds.significance
+    alpha = _VERIFY_GATES["significance"]
+    min_count, min_expected = _VERIFY_GATES["min_cell_count"], _VERIFY_GATES["min_expected"]
     times = np.concatenate(counts.times) if counts.times else np.empty(0)
     if len(times) == 0:
         raise InsufficientSamples("no completed traces to verify")
@@ -846,19 +859,19 @@ def _build_report(mode, samples, seed, law, counts: _Counts, thresholds,
             cols = np.flatnonzero(probs > 0.0)
             support_probs[level, : len(cols)] = probs[cols] / probs[cols].sum()
             support_cols[level, : len(cols)] = cols
-        t_idx, levels = np.nonzero(counts.cells.sum(axis=2) >= thresholds.min_cell_count)
+        t_idx, levels = np.nonzero(counts.cells.sum(axis=2) >= min_count)
         tested = support_cols[levels, 1] < n  # two support states or more
         t_idx, levels = t_idx[tested], levels[tested]
         rows = np.zeros((len(levels), n + 1), dtype=np.int64)
         rows[:, :n] = counts.cells[t_idx, levels]
         cond_stats, cond_dofs = _chi_square(np.take_along_axis(rows, support_cols[levels], axis=1),
-                                            support_probs[levels], thresholds.min_expected)
+                                            support_probs[levels], min_expected)
         cond_results = _chi2_sf(cond_dofs, cond_stats)
     conditional_cells = len(cond_results)
     conditional_alpha, conditional_min_p, conditional_passed = _bonferroni(cond_results, alpha)
     if mode != "continuous" and conditional_cells == 0:
         raise InsufficientSamples(
-            f"no conditional-law cell reached {thresholds.min_cell_count} observations"
+            f"no conditional-law cell reached {min_count} observations"
         )
 
     # largest-level statistic: chi-square against the mixture weights in
@@ -872,7 +885,7 @@ def _build_report(mode, samples, seed, law, counts: _Counts, thresholds,
                           0.0, None)
         observed = counts.largest[: len(weights)].astype(float)
         l_stats, l_dofs = _chi_square(observed[None], (weights / weights.sum())[None],
-                                      thresholds.min_expected)
+                                      min_expected)
         if len(l_stats):
             l_stat, l_pvalue = float(l_stats[0]), float(_chi2_sf(l_dofs, l_stats)[0])
             l_passed = l_pvalue >= alpha
@@ -882,7 +895,7 @@ def _build_report(mode, samples, seed, law, counts: _Counts, thresholds,
     seg_results, kolmogorov_args = [], []
     for key in sorted(counts.segments):
         durs = np.concatenate(counts.segments[key])
-        if len(durs) < thresholds.min_cell_count:
+        if len(durs) < min_count:
             continue
         level = key[1]
         if mode == "continuous":
@@ -905,7 +918,7 @@ def _build_report(mode, samples, seed, law, counts: _Counts, thresholds,
     segment_alpha, segment_min_p, segments_passed = _bonferroni(seg_results, alpha)
     if mode == "continuous" and segments_tested == 0:
         raise InsufficientSamples(
-            f"no climb segment reached {thresholds.min_cell_count} observations"
+            f"no climb segment reached {min_count} observations"
         )
 
     passed = bool(counts.horizon_hits == domination == mismatches == positivity == 0

@@ -41,6 +41,7 @@ from .errors import (
     PoleAtU,
     PreconditionError,
     TargetNotAccessible,
+    ValidationError,
     ZeroSuperdiagonal,
 )
 from .chains import (
@@ -398,9 +399,9 @@ class Analysis:
     rate (None for a kernel).  The uniformized kernel has the generator's
     support plus a positive diagonal, hence the generator's classification.
     The stages are built on first use and kept, each from those before it:
-    spectrum -> link (rows m0 Q_k) -> dual and modified (the modified dual),
-    and stationary -> monotone -> certification.  The laws, ``verify`` and
-    the command line all read them from one Analysis.
+    spectrum -> rates and link (rows m0 Q_k) -> dual and modified (the modified
+    dual), and stationary -> monotone -> certification.  The laws, ``verify``
+    and the command line all read them from one Analysis.
     """
 
     def __init__(self, chain: TransitionKernel | RateGenerator, m0=None):
@@ -421,6 +422,15 @@ class Analysis:
     @cached_property
     def spectrum(self) -> SpectrumReport:
         return eigenvalues(self.kernel, self.chain_class)
+
+    @cached_property
+    def rates(self) -> np.ndarray | None:
+        """A generator's exponential rates rate * (1 - Re theta); None for a kernel."""
+        if self.rate is None:
+            return None
+        rates = self.rate * (1.0 - self.spectrum.nonunit.real)
+        rates.setflags(write=False)  # shared by every reader of this Analysis
+        return rates
 
     @cached_property
     def link(self) -> LinkMatrix:
@@ -479,8 +489,10 @@ class Analysis:
         law = DiscreteAbsorptionLaw(spectrum.nonunit, w)
         return law if self.rate is None else ContinuousAbsorptionLaw(law, self.rate)
 
-    def sst_law(self, scan_horizon: int | None = None) -> DiscreteAbsorptionLaw:
+    def sst_law(self) -> DiscreteAbsorptionLaw:
         """The fastest strong stationary time's law; see the module function ``sst_law``."""
+        if self.rate is not None:
+            raise ValidationError("strong stationary analysis requires a TransitionKernel")
         if not self.chain_class.ergodic:
             raise NotErgodic("strong stationary analysis requires an ergodic kernel")
         if self.certification != "structural":
@@ -488,7 +500,7 @@ class Analysis:
                 raise MonotoneHypothesisFails(
                     f"time reversal is not stochastically monotone (rows {self.monotone.witness})"
                 )
-            profile = self.separation(scan_horizon)
+            profile = self.separation()
             if not profile.minimized_at_target:
                 bad = int(np.nonzero(profile.argmin_state != self.kernel.d)[0][0])
                 raise MonotoneHypothesisFails(
@@ -524,7 +536,7 @@ def absorption_law(kernel: TransitionKernel, m0=None) -> DiscreteAbsorptionLaw:
     return Analysis(kernel, m0).absorption_law()
 
 
-def sst_law(kernel: TransitionKernel, m0=None, scan_horizon: int | None = None) -> DiscreteAbsorptionLaw:
+def sst_law(kernel: TransitionKernel, m0=None) -> DiscreteAbsorptionLaw:
     """Law of the fastest strong stationary time of an ergodic chain.
 
     The CDF equals 1 - s(t) (separation from stationarity) whenever the
@@ -534,15 +546,17 @@ def sst_law(kernel: TransitionKernel, m0=None, scan_horizon: int | None = None) 
     The hypothesis is certified structurally when the time reversal is
     stochastically monotone and the initial ratios m0/pi are nonincreasing
     (point mass at 0 included); otherwise the separation profile is scanned
-    up to ``scan_horizon`` (default: until the tail falls below CDF_TAIL).
+    until its tail falls below CDF_TAIL.
 
     Raises
     ------
+    ValidationError
+        The chain is a rate generator.
     NotErgodic
     MonotoneHypothesisFails
         Reversal not monotone, or separation minimizer leaves the target.
     """
-    return Analysis(kernel, m0).sst_law(scan_horizon)
+    return Analysis(kernel, m0).sst_law()
 
 
 def hypoexp_law(gen: RateGenerator, m0=None) -> ContinuousAbsorptionLaw:
@@ -553,6 +567,9 @@ def hypoexp_law(gen: RateGenerator, m0=None) -> ContinuousAbsorptionLaw:
     continuous mixture built from the uniformized chain's link.  The discrete
     structure transfers exactly: the uniformized kernel's spectral polynomials
     are polynomials in G, so link, weights and level structure agree with the
-    continuous-time intertwining.  Raises as ``absorption_law`` does.
+    continuous-time intertwining.  Raises ``ValidationError`` on a transition
+    kernel, and otherwise as ``absorption_law`` does.
     """
+    if not isinstance(gen, RateGenerator):
+        raise ValidationError("hypoexp_law requires a RateGenerator")
     return Analysis(gen, m0).absorption_law()

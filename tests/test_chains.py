@@ -65,10 +65,6 @@ class TestTransitionKernel:
         with pytest.raises(NonStochastic):
             TransitionKernel(np.array([[np.nan, 1.0], [0.0, 1.0]]))
 
-    def test_target_must_be_last(self):
-        with pytest.raises(ValidationError, match="relabel"):
-            TransitionKernel(np.array(BD3_MATRIX), target=0)
-
     def test_matrix_is_write_locked(self, bd3):
         with pytest.raises(ValueError):
             bd3.matrix[0, 0] = 0.0

@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ssdual import hypoexp_law
 from ssdual.config import _TRACE_BLOCK
 
 from conftest import BD3_MATRIX, CT21_MATRIX, ERG3_MATRIX, GEN3_MATRIX
@@ -186,6 +187,14 @@ class TestAbsorption:
         )
         assert out["oracle_max_deviation"] <= 1e-8
 
+    def test_continuous_grid_top_is_rounded_up(self, chain_file, ct21):
+        # a quantile deep in the tail moves with the last bit of F; its
+        # rounded-up top does not
+        r = run_cli("absorption", chain_file(CT21_MATRIX, mode="continuous"), "--format", "csv")
+        top = float(parse_csv(r.stdout)[-1][0])
+        assert float(f"{top:.3g}") == top
+        assert hypoexp_law(ct21).cdf(top) >= 1.0 - 1e-6
+
     def test_zero_superdiagonal_exits_3(self, chain_file):
         m = [[1.0, 0.0, 0.0], [0.0, 0.5, 0.5], [0.0, 0.0, 1.0]]
         r = run_cli("absorption", chain_file(m))
@@ -232,6 +241,12 @@ class TestSimulateAndVerify:
         out = json.loads(r.stdout)
         assert out["report"]["passed"] is True
         assert out["report"]["samples"] == 2000
+
+    def test_initial_law_infers_general_mode(self, chain_file):
+        path = chain_file(BD3_MATRIX, initial=[0.5, 0.5, 0.0])
+        r = run_cli("verify", path, "--samples", "2000", "--seed", "12")
+        assert r.returncode == 0
+        assert json.loads(r.stdout)["report"]["mode"] == "general"
 
     def test_same_seed_byte_identical(self, chain_file):
         path = chain_file(GEN3_MATRIX)

@@ -13,6 +13,7 @@ from ssdual import (
     DiscreteAbsorptionLaw,
     InsufficientSamples,
     NotStochasticLink,
+    RateGenerator,
     TransitionKernel,
     absorption_law,
     build_dual,
@@ -28,7 +29,7 @@ from ssdual import (
     verify,
 )
 from ssdual import coupling
-from ssdual.config import _TRACE_BLOCK, MAX_HORIZON, VerifyThresholds
+from ssdual.config import _TRACE_BLOCK, _VERIFY_GATES, MAX_HORIZON
 from ssdual.families import random_birth_death_kernel, random_initial_law, random_skipfree_kernel
 
 from test_spectral import COMPLEX4
@@ -171,6 +172,35 @@ class TestVerify:
         k = TransitionKernel(COMPLEX4)
         with pytest.raises(NotStochasticLink):
             verify(k, mode="general", samples=100, seed=1)
+
+    @pytest.mark.parametrize("chain, mode, m0, match", [
+        ("bd3", "skipfree", [0.5, 0.5, 0.0], "starts at state 0"),
+        ("ct21", "continuous", [0.5, 0.5, 0.0], "starts at state 0"),
+        ("gen3", "skipfree", None, "skip-free chain"),
+        ("jump_generator", "continuous", None, "skip-free chain"),
+        ("jump_generator", None, None, "skip-free chain"),
+    ])
+    def test_mode_must_fit_the_chain(self, request, chain, mode, m0, match):
+        # running anyway would test another law than the one asked for: the
+        # delta-0 law in place of m0's, or a coupling that needs skip-free steps
+        if chain == "jump_generator":
+            chain = RateGenerator(np.array([[-2.0, 1.0, 1.0], [1.0, -2.0, 1.0], [0.0, 0.0, 0.0]]))
+        else:
+            chain = request.getfixturevalue(chain)
+        with pytest.raises(ValueError, match=match):
+            verify(chain, mode=mode, samples=2000, seed=12, m0=m0)
+
+    @pytest.mark.parametrize("chain, m0, mode", [
+        ("bd3", None, "skipfree"),
+        ("bd3", [0.5, 0.5, 0.0], "general"),
+        ("gen3", [0.3, 0.5, 0.2], "general"),
+        ("ct21", None, "continuous"),
+    ])
+    def test_mode_is_inferred(self, request, chain, m0, mode):
+        chain = request.getfixturevalue(chain)
+        inferred = verify(chain, samples=2000, seed=12, m0=m0)
+        assert inferred.mode == mode
+        assert inferred.to_dict() == verify(chain, mode=mode, samples=2000, seed=12, m0=m0).to_dict()
 
     def test_report_serializes_without_times(self, bd3):
         rep = verify(bd3, mode="skipfree", samples=2000, seed=5)
@@ -405,21 +435,20 @@ class TestGateStatistics:
         chain = (TransitionKernel(random_birth_death_kernel(np.random.default_rng(3), 12, lazy=True))
                  if mode == "skipfree" else gen3)
         analysis = Analysis(chain, None if mode == "skipfree" else [0.3, 0.5, 0.2])
-        thresholds = VerifyThresholds()
         sim = coupling._coupling(analysis, mode, samples=5000, seed=2, horizon=MAX_HORIZON,
-                                 t_cap=thresholds.conditional_t_cap)
+                                 t_cap=_VERIFY_GATES["conditional_t_cap"])
         counts = sim.count(0, -(-5000 // _TRACE_BLOCK))
         law = analysis.absorption_law()
-        report = coupling._build_report(mode, 5000, 2, law, counts, thresholds,
+        report = coupling._build_report(mode, 5000, 2, law, counts,
                                         analysis.spectrum.nonunit.real, sim.link_rows)
         cells = []
-        for t, level in zip(*np.nonzero(counts.cells.sum(axis=2) >= thresholds.min_cell_count)):
+        for t, level in zip(*np.nonzero(counts.cells.sum(axis=2) >= _VERIFY_GATES["min_cell_count"])):
             probs = np.clip(sim.link_rows[level], 0.0, None)
             support = probs > 0.0
             if support.sum() >= 2:
                 cells.append(_chi_square_binned(counts.cells[t, level][support],
                                                 probs[support] / probs[support].sum(),
-                                                thresholds.min_expected))
+                                                _VERIFY_GATES["min_expected"]))
         stat, dof = np.array([c for c in cells if c is not None]).T
         assert report.conditional_cells == len(stat) > 10
         assert report.conditional_min_pvalue == pytest.approx(stats.chi2.sf(stat, dof).min(),
@@ -427,7 +456,7 @@ class TestGateStatistics:
         if mode == "general":
             weights = np.clip(law.weights, 0.0, None)
             l_stat, l_dof = _chi_square_binned(counts.largest[: len(weights)].astype(float),
-                                               weights / weights.sum(), thresholds.min_expected)
+                                               weights / weights.sum(), _VERIFY_GATES["min_expected"])
             assert report.l_chisq_stat == l_stat
             assert report.l_chisq_pvalue == pytest.approx(stats.chi2.sf(l_stat, l_dof), rel=1e-12)
 

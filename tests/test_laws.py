@@ -17,6 +17,7 @@ from ssdual import (
     RateGenerator,
     ThetaTooSmall,
     TransitionKernel,
+    ValidationError,
     ZeroSuperdiagonal,
     absorption_law,
     ctmc_cdf_oracle,
@@ -196,6 +197,12 @@ class TestSstLaw:
         with pytest.raises(NotErgodic):
             sst_law(bd3)
 
+    def test_needs_a_kernel(self):
+        # the uniformized chain's law would count steps, not time
+        gen = RateGenerator(np.array([[-1.0, 1.0, 0.0], [1.0, -2.0, 1.0], [0.0, 1.0, -1.0]]))
+        with pytest.raises(ValidationError, match="TransitionKernel"):
+            sst_law(gen)
+
 
 class TestContinuousLaw:
     def test_rates_2_1_closed_form(self, ct21):
@@ -238,6 +245,10 @@ class TestContinuousLaw:
         ]))
         with pytest.raises(ZeroSuperdiagonal):
             hypoexp_law(gen)
+
+    def test_needs_a_generator(self, bd3):
+        with pytest.raises(ValidationError, match="RateGenerator"):
+            hypoexp_law(bd3)
 
     def test_uniformize_rejects_small_rate(self, ct21):
         with pytest.raises(ThetaTooSmall):
