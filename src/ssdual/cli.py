@@ -25,7 +25,6 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .chains import (
@@ -215,6 +214,8 @@ def _emit(args, summary: dict, csv_header: tuple, csv_rows: list) -> None:
 
 
 def _versions() -> dict:
+    import scipy  # here, so that ``validate``, which prints no versions, loads no scipy
+
     return {"ssdual": __version__, "numpy": np.__version__, "scipy": scipy.__version__}
 
 

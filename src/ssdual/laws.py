@@ -16,7 +16,10 @@ The CDF is evaluated B time steps at a time (baby-step/giant-step, after
 Paterson and Stockmeyer).  The baby steps R = [w, Phat w, ..., Phat^{B-1} w]
 are formed once per law; block s of the CDF is the row e0 Phat^{sB} times R,
 and the giant step Phat^B, formed only when a second block is needed,
-carries that row to the next block.  The values are kept in an array that
+carries that row to the next block.  Phat is upper bidiagonal, so Phat^B
+lives on its first B + 1 diagonals; it is built on that band, in about
+B n min(n, B) / 2 products instead of the B n^2 of dense steps, and
+scattered once into an n x n matrix.  The values are kept in an array that
 grows in whole blocks, doubling its length up to MAX_HORIZON; ``cdf`` and
 ``pmf`` index it and ``quantile`` searches it.  The values agree with a
 step-by-step recurrence to rounding, not bit for bit.
@@ -31,6 +34,7 @@ from __future__ import annotations
 from functools import cached_property
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .config import _BLOCK_STEPS, IMAG_PROB_TOL, MAX_HORIZON, TOL_NONNEG, TOL_SERIES, tol_alg
 from .errors import (
@@ -189,12 +193,13 @@ class DiscreteAbsorptionLaw:
         want = max(t + 1, min(2 * have, MAX_HORIZON + 1))
         # row s is e0 Phat^{sB}, for the blocks s that this call adds
         rows = np.zeros((-(-(want - have) // _BLOCK_STEPS), len(self._hold)), dtype=self._dtype)
+        giant = self._giant_step() if have or len(rows) > 1 else None
         if have:
-            rows[0] = self._row @ self._giant_step()
+            rows[0] = self._row @ giant
         else:
             rows[0, 0] = 1.0
         for i in range(1, len(rows)):
-            rows[i] = rows[i - 1] @ self._giant_step()
+            rows[i] = rows[i - 1] @ giant
         self._row = rows[-1]
         self._cdf = np.concatenate([self._cdf, (rows @ self._baby).ravel()])
 
@@ -204,14 +209,33 @@ class DiscreteAbsorptionLaw:
         It is built one step at a time rather than by repeated squaring: with
         a signed or complex spectrum the powers of Phat grow by orders of
         magnitude before they decay, and squaring loses that many digits.
+        Phat is upper bidiagonal, so Phat^m is zero off its diagonals 0..m:
+        the steps run on a band whose row k is diagonal k, step m touches
+        diagonals 0..m+1 only, and the band is scattered once into the dense
+        n x n matrix.  That is about B n min(n, B) / 2 products where dense
+        steps take B n^2.  Each entry is formed as a dense step forms it,
+        fl(fl(p hold) + fl(p' move)), so F does not depend on the layout.
         """
         if self._giant is None:
-            power = np.eye(len(self._hold), dtype=self._dtype)
-            for _ in range(_BLOCK_STEPS):
-                nxt = power * self._hold
-                nxt[:, 1:] += power[:, :-1] * self._move[:-1]
-                power = nxt
-            self._giant = power
+            n = len(self._hold)
+            width = min(_BLOCK_STEPS, n - 1) + 1
+            pad = np.zeros(width - 1, dtype=self._dtype)
+            # hold[k, i] = hold_{i+k} and move[k, i] = move_{i+k}, 0 past the last level
+            hold = sliding_window_view(np.concatenate([self._hold, pad]), n)
+            move = sliding_window_view(np.concatenate([self._move, pad]), n)
+            band = np.zeros((width, n), dtype=self._dtype)  # band[k, i] = (Phat^m)(i, i + k)
+            band[0] = 1.0
+            carry = np.empty((width - 1, n), dtype=self._dtype)
+            for m in range(_BLOCK_STEPS):
+                top = min(m + 1, width - 1)
+                np.multiply(band[:top], move[:top], out=carry[:top])
+                band[: top + 1] *= hold[: top + 1]
+                band[1 : top + 1] += carry[:top]
+            giant = np.zeros((n, n), dtype=self._dtype)
+            flat = giant.reshape(-1)
+            for k in range(width):
+                flat[k : (n - k) * (n + 1) : n + 1] = band[k, : n - k]
+            self._giant = giant
         return self._giant
 
     def _cdf_at(self, ts: np.ndarray) -> np.ndarray:
@@ -400,8 +424,9 @@ class Analysis:
     support plus a positive diagonal, hence the generator's classification.
     The stages are built on first use and kept, each from those before it:
     spectrum -> rates and link (rows m0 Q_k) -> dual and modified (the modified
-    dual), and stationary -> monotone -> certification.  The laws, ``verify``
-    and the command line all read them from one Analysis.
+    dual), and stationary -> monotone -> certification; a full separation
+    scan is kept too.  The laws, ``verify`` and the command line all read them
+    from one Analysis.
     """
 
     def __init__(self, chain: TransitionKernel | RateGenerator, m0=None):
@@ -413,6 +438,7 @@ class Analysis:
         else:
             self.chain_class = classify_kernel(chain)
             self.kernel, self.rate = chain, None
+        self._scan: SeparationProfile | None = None
 
     @property
     def starts_at_zero(self) -> bool:
@@ -463,10 +489,25 @@ class Analysis:
         return "structural" if structural else "separation-scan"
 
     def separation(self, t_max: int | None = None) -> SeparationProfile:
-        """The separation profile from the initial law; see ``duality.separation``."""
+        """The separation profile from the initial law; see ``duality.separation``.
+
+        The full scan (``t_max`` None) is kept, and a later ``t_max`` inside
+        it is cut from it rather than scanned again.
+        """
         if not self.chain_class.ergodic:
             raise NotErgodic("separation requires an ergodic kernel")
-        return _separation(self.kernel, self.stationary, self.m0, t_max)
+        if t_max is None:
+            if self._scan is None:
+                scan = _separation(self.kernel, self.stationary, self.m0, None)
+                scan.s.setflags(write=False)  # shared by every reader of this Analysis
+                scan.argmin_state.setflags(write=False)
+                self._scan = scan
+            return self._scan
+        scan = self._scan
+        if scan is None or t_max >= len(scan.s):
+            return _separation(self.kernel, self.stationary, self.m0, t_max)
+        argmin = scan.argmin_state[: t_max + 1]
+        return SeparationProfile(scan.s[: t_max + 1], argmin, bool(np.all(argmin == self.kernel.d)))
 
     def absorption_law(self) -> DiscreteAbsorptionLaw | ContinuousAbsorptionLaw:
         """The hitting-time law of the target; see the module function ``absorption_law``.

@@ -17,10 +17,16 @@ from ssdual import (
     classify_kernel,
     separation,
     uniformize,
+    validate_kernel,
     verify,
 )
+from ssdual import laws
 from ssdual.cli import main
-from ssdual.families import random_birth_death_generator, random_skipfree_generator
+from ssdual.families import (
+    random_birth_death_generator,
+    random_ergodic_birth_death,
+    random_skipfree_generator,
+)
 
 from conftest import BD3_MATRIX, CT21_MATRIX, ERG3_MATRIX, GEN3_MATRIX
 
@@ -115,6 +121,50 @@ def test_separation_reads_the_analysis(erg3, bd3, stage_counts, m0, t_max):
     assert profile.minimized_at_target == reference.minimized_at_target
     with pytest.raises(NotErgodic):
         Analysis(bd3).separation(10)
+
+
+@pytest.fixture
+def separation_calls(monkeypatch):
+    """The t_max of every separation scan that an Analysis runs."""
+    calls = []
+
+    def counted(kernel, pi, vec, t_max, _fn=laws._separation):
+        calls.append(t_max)
+        return _fn(kernel, pi, vec, t_max)
+
+    monkeypatch.setattr(laws, "_separation", counted)
+    return calls
+
+
+@pytest.mark.parametrize("extra, expected", [([], [None]), (["--t-max", "50"], [None, 50])])
+def test_sst_scans_the_separation_once(chain_file, separation_calls, capsys, extra, expected):
+    # started off the point mass, sst certifies by a full scan; the series is cut from it
+    path = chain_file(ERG3_MATRIX, initial=[0.2, 0.6, 0.2])
+    assert main(["sst", path, *extra]) == 0
+    capsys.readouterr()
+    assert separation_calls == expected
+
+
+def test_separation_is_cut_from_the_scan(separation_calls):
+    kernel = validate_kernel(random_ergodic_birth_death(np.random.default_rng(0), 6))[0]
+    analysis = Analysis(kernel, [0.0, 1.0, 0.0, 0.0, 0.0, 0.0])
+    law = analysis.sst_law()
+    assert analysis.certification == "separation-scan"
+    scan = analysis.separation()
+    assert separation_calls == [None]
+    t_max = law.quantile(1.0 - 1e-6)
+    assert 64 < t_max < len(scan.s) - 1
+    cut = analysis.separation(t_max)
+    assert separation_calls == [None]
+    assert np.array_equal(cut.s, scan.s[: t_max + 1])
+    assert cut.minimized_at_target
+    fresh = separation(kernel, analysis.m0, t_max)
+    assert np.abs(cut.s - fresh.s).max() <= 1e-15
+    np.testing.assert_array_equal(cut.argmin_state, fresh.argmin_state)
+    with pytest.raises(ValueError):
+        scan.s[0] = 0.0  # the kept scan is shared, so read-only
+    assert len(analysis.separation(len(scan.s)).s) == len(scan.s) + 1
+    assert separation_calls == [None, len(scan.s)]
 
 
 def test_verify_takes_the_callers_analysis(bd3, gen3):

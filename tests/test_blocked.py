@@ -3,7 +3,8 @@
 The library evaluates F(t) = e0 Phat^t w and m0 P^t a block of B steps at a
 time.  The references below advance one step at a time, as the library did
 before blocking, so any change in the values comes from the order of the
-floating-point sums only.
+floating-point sums only.  The giant step Phat^B, built on its band, is
+checked bit for bit against the dense n x n steps it replaced.
 """
 
 from __future__ import annotations
@@ -60,6 +61,16 @@ def stepwise_cdf(law: DiscreteAbsorptionLaw, horizon: int) -> np.ndarray:
         occ = nxt
         out.append(occ @ w)
     return np.real(np.array(out))
+
+
+def dense_giant_step(law: DiscreteAbsorptionLaw) -> np.ndarray:
+    """Phat^B by B dense n x n steps, as the library built it before the band."""
+    power = np.eye(len(law._hold), dtype=law._dtype)
+    for _ in range(B):
+        nxt = power * law._hold
+        nxt[:, 1:] += power[:, :-1] * law._move[:-1]
+        power = nxt
+    return power
 
 
 def stepwise_separation(kernel: TransitionKernel, m0, t_max: int | None):
@@ -160,6 +171,36 @@ class TestDiscreteBlocks:
         np.testing.assert_array_equal(fresh.pmf(np.array([-2, -1])), [0.0, 0.0])
         pm = fresh.pmf(np.arange(2 * B))
         assert np.abs(np.cumsum(pm) - stepwise_cdf(law, 2 * B - 1)).max() <= 1e-12
+
+
+GIANT_CHAINS = {
+    **{name: LAW_CHAINS[name] for name in ("signed_birth_death", "complex_skipfree")},
+    # n = B + 1: the band is the whole upper triangle; n = B + 2: the first narrower band
+    "signed_birth_death_B+1": lambda: _kernel(random_birth_death_kernel(np.random.default_rng(0), B + 1)),
+    "complex_skipfree_B+2": lambda: _kernel(bounded_drop_skipfree(np.random.default_rng(0), B + 2)),
+    "lazy_birth_death_200": lambda: _kernel(random_birth_death_kernel(np.random.default_rng(3), 200, lazy=True)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GIANT_CHAINS))
+def test_band_giant_step_matches_dense_steps(name):
+    law = absorption_law(GIANT_CHAINS[name]())
+    banded = DiscreteAbsorptionLaw(law.thetas, law.level_weights)
+    dense = DiscreteAbsorptionLaw(law.thetas, law.level_weights)
+    dense._giant = dense_giant_step(dense)
+    # equal as numbers; only the sign of zeros below the diagonal may differ
+    np.testing.assert_array_equal(banded._giant_step(), dense._giant)
+    banded._extend(20_000)
+    dense._extend(20_000)
+    assert banded._cdf.tobytes() == dense._cdf.tobytes()
+
+
+def test_single_block_builds_no_giant_step():
+    law = absorption_law(TransitionKernel(np.array(BD3_MATRIX)))
+    law.cdf(B - 1)
+    assert law._giant is None
+    law.cdf(B)
+    assert law._giant is not None
 
 
 def test_empty_grid():
@@ -296,3 +337,19 @@ def test_discrete_commands_leave_scipy_linalg_and_stats_unloaded(tmp_path):
     codes, loaded = json.loads(out.stdout)
     assert codes == [0] * len(runs)
     assert loaded == []
+
+
+def test_validate_loads_no_scipy(tmp_path):
+    (tmp_path / "bd3.json").write_text(json.dumps({"mode": "discrete", "matrix": BD3_MATRIX}),
+                                       encoding="utf-8")
+    code = (
+        "import contextlib, io, json, sys\n"
+        "from ssdual.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = main(['validate', 'bd3.json'])\n"
+        "print(json.dumps([code, 'scipy' in sys.modules]))\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+    assert json.loads(out.stdout) == [0, False]

@@ -321,8 +321,11 @@ class TestOutput:
 class TestScripts:
     """The scripts run on the public API, so they run here too."""
 
-    @pytest.mark.parametrize("script, args", [("bd3_walkthrough.py", []),
-                                              ("random_sweep.py", ["--count", "5"])])
+    @pytest.mark.parametrize("script, args", [
+        ("bd3_walkthrough.py", []),
+        ("random_sweep.py", ["--count", "5"]),
+        ("cdf_probe.py", ["--sizes", "3", "70", "--horizon", "130", "--repeat", "1"]),
+    ])
     def test_script_exits_0(self, script, args):
         r = subprocess.run([sys.executable, str(SCRIPTS / script), *args],
                            capture_output=True, text=True)
