@@ -18,12 +18,12 @@ import time
 
 import numpy as np
 
-from ssdual import __version__, absorption_law, validate_kernel
+from ssdual import TransitionKernel, __version__, absorption_law
 from ssdual.families import random_birth_death_kernel
 
 
 def probe(n: int, horizon: int, repeat: int) -> dict:
-    kernel = validate_kernel(random_birth_death_kernel(np.random.default_rng(0), n, lazy=True))[0]
+    kernel = TransitionKernel(random_birth_death_kernel(np.random.default_rng(0), n, lazy=True))
     ts = np.arange(horizon)
     build, cdf = [], []
     for _ in range(repeat):

@@ -13,6 +13,8 @@ import numpy as np
 
 from ssdual import (
     Analysis,
+    RateGenerator,
+    TransitionKernel,
     check_intertwining,
     ctmc_cdf_oracle,
     hypoexp_law,
@@ -20,8 +22,6 @@ from ssdual import (
     power_cdf_oracle,
     separation,
     sst_law,
-    validate_generator,
-    validate_kernel,
 )
 from ssdual.families import (
     random_ergodic_birth_death,
@@ -68,7 +68,7 @@ def sweep(cfg: SweepConfig) -> None:
     for name, draw in families.items():
         dev = link_r = mod_r = init_r = neg = 0.0
         for _ in range(cfg.count):
-            analysis = Analysis(validate_kernel(draw())[0])
+            analysis = Analysis(TransitionKernel(draw()))
             dev = max(dev, law_deviation(analysis))
             a, b, c = intertwining_residuals(analysis)
             link_r, mod_r, init_r = max(link_r, a), max(mod_r, b), max(init_r, c)
@@ -82,7 +82,7 @@ def sweep(cfg: SweepConfig) -> None:
 
     dev = 0.0
     for _ in range(cfg.count):
-        kernel, _ = validate_kernel(random_ergodic_birth_death(rng, size()))
+        kernel = TransitionKernel(random_ergodic_birth_death(rng, size()))
         law = sst_law(kernel)
         prof = separation(kernel)
         ts = np.arange(len(prof.s))
@@ -91,7 +91,7 @@ def sweep(cfg: SweepConfig) -> None:
 
     dev = 0.0
     for _ in range(cfg.count):
-        gen, _ = validate_generator(random_skipfree_generator(rng, min(size(), 8)))
+        gen = RateGenerator(random_skipfree_generator(rng, min(size(), 8)))
         law = hypoexp_law(gen)
         grid = np.linspace(0.0, law.quantile(0.9999), 50)
         dev = max(dev, float(np.abs(law.cdf(grid) - ctmc_cdf_oracle(gen, None, grid)).max()))

@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 
 from .chains import (
     ChainClass,
-    InitialLaw,
     RateGenerator,
     TransitionKernel,
     classify_generator,
@@ -22,8 +21,6 @@ from .chains import (
     power_cdf_oracle,
     stationary_law,
     uniformize,
-    validate_generator,
-    validate_kernel,
 )
 from .config import tol_alg
 from .coupling import (
@@ -81,7 +78,6 @@ from .spectral import (
     PolynomialResiduals,
     SpectralPolynomials,
     SpectrumReport,
-    classify_spectrum,
     eigenvalues,
     polynomial_residuals,
     spectral_polynomials,
@@ -90,17 +86,15 @@ from .spectral import (
 __all__ = [
     "__version__",
     # chains
-    "ChainClass", "InitialLaw", "RateGenerator", "TransitionKernel",
+    "ChainClass", "RateGenerator", "TransitionKernel",
     "classify_generator", "classify_kernel", "ctmc_cdf_oracle",
     "mean_absorption_ctmc_oracle", "mean_absorption_oracle",
     "power_cdf_oracle", "stationary_law", "uniformize",
-    "validate_generator", "validate_kernel",
     # config
     "tol_alg",
     # spectral
     "PolynomialResiduals", "SpectralPolynomials", "SpectrumReport",
-    "classify_spectrum", "eigenvalues", "polynomial_residuals",
-    "spectral_polynomials",
+    "eigenvalues", "polynomial_residuals", "spectral_polynomials",
     # duality
     "DualKernel", "LinkMatrix", "MixtureWeights", "ModifiedDual",
     "SeparationProfile", "build_dual", "build_link", "build_modified_dual",

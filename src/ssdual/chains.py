@@ -33,11 +33,8 @@ __all__ = [
     "ChainClass",
     "TransitionKernel",
     "RateGenerator",
-    "InitialLaw",
     "classify_kernel",
     "classify_generator",
-    "validate_kernel",
-    "validate_generator",
     "stationary_law",
     "power_cdf_oracle",
     "mean_absorption_oracle",
@@ -75,24 +72,16 @@ class ChainClass:
     superdiag_positive: bool
 
 
-def _clean_rows(matrix: np.ndarray, kind: str) -> np.ndarray:
-    """Validate entry ranges and renormalize rows of a stochastic matrix."""
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-        raise ValidationError(f"{kind} must be a square matrix, got shape {matrix.shape}")
-    n = matrix.shape[0]
-    if n < 2:
+def _square(matrix, kind: str, square: str) -> np.ndarray:
+    """``matrix`` as a new float array: square, of at least two states, finite."""
+    mat = np.array(matrix, dtype=float)
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+        raise ValidationError(f"{kind} must be {square}, got shape {mat.shape}")
+    if mat.shape[0] < 2:
         raise ValidationError(f"{kind} needs at least two states")
-    if not np.all(np.isfinite(matrix)):
+    if not np.all(np.isfinite(mat)):
         raise NonStochastic(f"{kind} has non-finite entries")
-    if matrix.min() < -TOL_ROW or matrix.max() > 1.0 + TOL_ROW:
-        raise NonStochastic(f"{kind} entries outside [0, 1] beyond tolerance")
-    out = np.clip(matrix, 0.0, None)
-    sums = out.sum(axis=1)
-    if np.max(np.abs(sums - 1.0)) > TOL_ROW:
-        worst = int(np.argmax(np.abs(sums - 1.0)))
-        raise NonStochastic(f"{kind} row {worst} sums to {float(sums[worst])!r}, not 1")
-    out /= sums[:, None]
-    return out
+    return mat
 
 
 @dataclass(frozen=True, slots=True)
@@ -107,7 +96,17 @@ class TransitionKernel:
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        mat = _clean_rows(np.array(self.matrix, dtype=float), "transition kernel")
+        mat = _square(self.matrix, "transition kernel", "a square matrix")
+        if mat.min() < -TOL_ROW or mat.max() > 1.0 + TOL_ROW:
+            raise NonStochastic("transition kernel entries outside [0, 1] beyond tolerance")
+        np.clip(mat, 0.0, None, out=mat)
+        sums = mat.sum(axis=1)
+        if np.max(np.abs(sums - 1.0)) > TOL_ROW:
+            worst = int(np.argmax(np.abs(sums - 1.0)))
+            raise NonStochastic(
+                f"transition kernel row {worst} sums to {float(sums[worst])!r}, not 1"
+            )
+        mat /= sums[:, None]
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
 
@@ -132,15 +131,8 @@ class RateGenerator:
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        mat = np.array(self.matrix, dtype=float)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ValidationError(f"rate generator must be square, got shape {mat.shape}")
-        n = mat.shape[0]
-        if n < 2:
-            raise ValidationError("rate generator needs at least two states")
-        if not np.all(np.isfinite(mat)):
-            raise NonStochastic("rate generator has non-finite entries")
-        off = ~np.eye(n, dtype=bool)
+        mat = _square(self.matrix, "rate generator", "square")
+        off = ~np.eye(mat.shape[0], dtype=bool)
         scale = max(1.0, float(np.abs(mat).max()))
         if mat[off].min() < -TOL_ROW * scale:
             raise NonStochastic("rate generator has negative off-diagonal rates")
@@ -161,14 +153,17 @@ class RateGenerator:
         return self.n - 1
 
 
-@dataclass(frozen=True, slots=True)
-class InitialLaw:
-    """A validated initial distribution."""
+def as_initial(m0, n: int) -> np.ndarray:
+    """``m0`` (None for the point mass at state 0, else array-like) as a checked law on n states.
 
-    vector: np.ndarray
-
-    def __post_init__(self) -> None:
-        vec = np.array(self.vector, dtype=float)
+    Entries must be finite and in [0, 1], and sum to 1, all within
+    ``TOL_ROW``; the vector is clipped at 0, renormalized and write-locked.
+    """
+    if m0 is None:
+        vec = np.zeros(n)
+        vec[0] = 1.0
+    else:
+        vec = np.array(m0, dtype=float)
         if vec.ndim != 1:
             raise ValidationError("initial law must be a vector")
         if not np.all(np.isfinite(vec)):
@@ -180,31 +175,10 @@ class InitialLaw:
         if abs(total - 1.0) > TOL_ROW:
             raise NonStochastic(f"initial law sums to {total!r}, not 1")
         vec /= total
-        vec.setflags(write=False)
-        object.__setattr__(self, "vector", vec)
-
-    @classmethod
-    def delta(cls, n: int, state: int = 0) -> "InitialLaw":
-        vec = np.zeros(n)
-        vec[state] = 1.0
-        return cls(vec)
-
-    @property
-    def n(self) -> int:
-        return self.vector.shape[0]
-
-
-def as_initial(m0, n: int) -> np.ndarray:
-    """Coerce ``m0`` (None, InitialLaw, or array-like) to a validated vector."""
-    if m0 is None:
-        return InitialLaw.delta(n).vector
-    if isinstance(m0, InitialLaw):
-        law = m0
-    else:
-        law = InitialLaw(np.asarray(m0, dtype=float))
-    if law.n != n:
-        raise ValidationError(f"initial law has {law.n} states, chain has {n}")
-    return law.vector
+        if len(vec) != n:
+            raise ValidationError(f"initial law has {len(vec)} states, chain has {n}")
+    vec.setflags(write=False)
+    return vec
 
 
 def _levels(edges: np.ndarray, start: int) -> np.ndarray:
@@ -275,41 +249,6 @@ def classify_generator(gen: RateGenerator) -> ChainClass:
     return cls
 
 
-def validate_kernel(matrix) -> tuple[TransitionKernel, ChainClass]:
-    """Validate a raw matrix as a transition kernel and classify it.
-
-    Parameters
-    ----------
-    matrix : array-like
-        Proposed row-stochastic matrix; its last state is the target.
-
-    Returns
-    -------
-    (TransitionKernel, ChainClass)
-
-    Raises
-    ------
-    NonStochastic
-        Rows or entries out of tolerance.
-    TargetNotAccessible
-        Some state cannot reach the target.
-    """
-    kernel = TransitionKernel(np.asarray(matrix, dtype=float))
-    cls = classify_kernel(kernel)
-    if not cls.target_accessible:
-        raise TargetNotAccessible("target state is not accessible from every state")
-    return kernel, cls
-
-
-def validate_generator(matrix) -> tuple[RateGenerator, ChainClass]:
-    """Validate a raw matrix as a rate generator (last state the target) and classify it."""
-    gen = RateGenerator(np.asarray(matrix, dtype=float))
-    cls = classify_generator(gen)
-    if not cls.target_accessible:
-        raise TargetNotAccessible("target state is not accessible from every state")
-    return gen, cls
-
-
 def require_absorbing(chain: TransitionKernel | RateGenerator) -> None:
     """Raise unless the target row is absorbing."""
     if (chain.matrix[chain.d, : chain.d] > 0).any():
@@ -354,39 +293,53 @@ def power_cdf_oracle(kernel: TransitionKernel, m0=None, t_max: int = 0) -> np.nd
     return out
 
 
-def _fundamental_solve(a: np.ndarray, context: str) -> np.ndarray:
-    rhs = np.ones(a.shape[0])
-    try:
-        x = np.linalg.solve(a, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystem(f"{context} system is singular") from exc
-    resid = np.abs(a @ x - rhs).max()
-    if not np.isfinite(resid) or resid > 1e-8 * max(1.0, np.abs(x).max()):
-        raise SingularSystem(f"{context} system is numerically singular (residual {resid!r})")
+def _mean_times(chain: TransitionKernel | RateGenerator) -> np.ndarray:
+    """Expected times to the target from each other state, without subtraction.
+
+    Solves (D - O) x = 1 on the states 0..d-1, where O holds the transient
+    block's off-diagonal entries and D each row's exit mass: its entry into
+    the target plus its off-diagonal sum, which is I - P' for a kernel and
+    -G' for a generator.  The states are eliminated first to last, GTH-style:
+    an eliminated state's paths are added to the entries and target masses of
+    the later states, each pivot is the row's remaining target mass plus its
+    remaining off-diagonal mass, and the substitutions add positive terms
+    only.  A zero pivot (a state that cannot reach the target) raises
+    ``SingularSystem``.
+    """
+    d = chain.d
+    off = np.array(chain.matrix[:d, :d])  # its diagonal is never read
+    kill = np.array(chain.matrix[:d, d])
+    rhs = np.ones(d)
+    pivots = np.empty(d)
+    for k in range(d):
+        pivots[k] = kill[k] + off[k, k + 1 :].sum()
+        if not pivots[k] > 0.0:
+            raise SingularSystem(f"state {k} cannot reach the target: infinite mean")
+        f = off[k + 1 :, k] / pivots[k]
+        off[k + 1 :, k + 1 :] += np.outer(f, off[k, k + 1 :])
+        kill[k + 1 :] += f * kill[k]
+        rhs[k + 1 :] += f * rhs[k]
+    x = np.empty(d)
+    for k in range(d - 1, -1, -1):
+        x[k] = (rhs[k] + off[k, k + 1 :] @ x[k + 1 :]) / pivots[k]
     return x
 
 
 def mean_absorption_oracle(kernel: TransitionKernel, m0=None) -> float:
     """Expected hitting time via the fundamental matrix.
 
-    Solves (I - P') x = 1 on the non-target states and returns m0' . x; raises
-    ``SingularSystem`` when the target is not accessible from the transient
-    part (the system is then singular).
+    Solves (I - P') x = 1 on the non-target states by ``_mean_times``'
+    subtraction-free elimination and returns m0' . x; raises
+    ``SingularSystem`` when some state cannot reach the target.
     """
     require_absorbing(kernel)
-    d = kernel.d
-    x = _fundamental_solve(np.eye(d) - kernel.matrix[:d, :d], "fundamental matrix")
-    v = as_initial(m0, kernel.n)
-    return float(v[:d] @ x)
+    return float(as_initial(m0, kernel.n)[: kernel.d] @ _mean_times(kernel))
 
 
 def mean_absorption_ctmc_oracle(gen: RateGenerator, m0=None) -> float:
-    """Expected absorption time of a CTMC: solves (-G') x = 1."""
+    """Expected absorption time of a CTMC: solves (-G') x = 1 as ``mean_absorption_oracle`` does."""
     require_absorbing(gen)
-    d = gen.d
-    x = _fundamental_solve(-gen.matrix[:d, :d], "continuous fundamental matrix")
-    v = as_initial(m0, gen.n)
-    return float(v[:d] @ x)
+    return float(as_initial(m0, gen.n)[: gen.d] @ _mean_times(gen))
 
 
 def uniformize(gen: RateGenerator, theta: float | None = None) -> tuple[TransitionKernel, float]:

@@ -40,7 +40,7 @@ from .coupling import verify
 from .duality import check_intertwining, mixture_weights
 from .errors import HypothesisFailed, SSDualError, TargetNotAccessible, ValidationError
 from .laws import Analysis, ContinuousAbsorptionLaw
-from .spectral import classify_spectrum, polynomial_residuals
+from .spectral import polynomial_residuals
 
 __all__ = ["LoadedChain", "load_chain", "load_chain_text", "dump_chain", "main"]
 
@@ -294,7 +294,14 @@ def cmd_spectrum(args) -> int:
     analysis = loaded.analysis
     spectrum, rate = analysis.spectrum, analysis.rate
     polys = polynomial_residuals(analysis.kernel, spectrum)
-    classification = classify_spectrum(spectrum, polys)
+    if spectrum.all_nonneg_real and polys.nonneg:
+        diagnosis = "real nonnegative spectrum with nonnegative spectral polynomials"
+    elif not spectrum.all_real:
+        diagnosis = "complex eigenvalue pairs present; numeric-CDF route"
+    elif not spectrum.all_nonneg_real:
+        diagnosis = "negative real eigenvalues present; numeric-CDF route"
+    else:
+        diagnosis = "spectral polynomials have negative entries; numeric-CDF route"
     summary = _base_summary("spectrum", loaded)
     summary.update(
         eigenvalues=[[v.real, v.imag] for v in np.atleast_1d(spectrum.values)],
@@ -302,7 +309,11 @@ def cmd_spectrum(args) -> int:
         all_nonneg_real=spectrum.all_nonneg_real,
         clamped=spectrum.clamped,
         method=spectrum.method,
-        spectrum_class=asdict(classification),
+        spectrum_class={
+            "real_nonneg": spectrum.all_nonneg_real,
+            "polys_nonneg": polys.nonneg,
+            "diagnosis": diagnosis,
+        },
         polynomial_residuals={
             "cayley": polys.cayley_residual,
             "rowsum": polys.rowsum_residual,

@@ -260,7 +260,7 @@ def simulate_general_dual(
     d = kernel.d
     lam = modified.link.rows
     pbar = modified.kernel
-    absorbing = set(modified.absorbing_states)
+    absorbing = set(range(modified.absorbing_start, d + 1))
     cum = np.cumsum(mat, axis=1)
     draw = rng.random
 

@@ -114,20 +114,17 @@ class MixtureWeights:
 class ModifiedDual:
     """Dual conditioned to avoid premature target discovery.
 
-    ``kernel`` = ``bidiagonal`` + ``target_column``; the bidiagonal part climbs
-    or holds, the rank-one part jumps straight to the target state d.  The
-    start is the two-point law ``initial`` on {0, d}.  Absorption happens on
-    ``absorbing_states`` = {absorbing_start, ..., d}, and within that set only
-    ``absorbing_start`` and d can ever be entered.
+    ``kernel`` is a bidiagonal part that climbs or holds plus a rank-one part
+    in column d that jumps straight to the target.  The start is the
+    two-point law ``initial`` on {0, d}.  Absorption happens on the states
+    absorbing_start, ..., d, and of those only ``absorbing_start`` and d can
+    ever be entered.
     """
 
     link: LinkMatrix
-    bidiagonal: np.ndarray
-    target_column: np.ndarray
     kernel: np.ndarray
     initial: np.ndarray
     absorbing_start: int
-    absorbing_states: tuple[int, ...]
     stochastic: bool
     intertwining_residual: float
     initial_residual: float
@@ -324,16 +321,13 @@ def build_modified_dual(
     intertwining_residual = float(np.abs(lam_bar @ kernel.matrix - kernel_bar @ lam_bar).max())
     initial_residual = float(np.abs(m_bar @ lam_bar - vec).max())
 
-    for arr in (bidiag, column, kernel_bar, m_bar):
+    for arr in (kernel_bar, m_bar):
         arr.setflags(write=False)
     return ModifiedDual(
         link=link_bar,
-        bidiagonal=bidiag,
-        target_column=column,
         kernel=kernel_bar,
         initial=m_bar,
         absorbing_start=absorbing_start,
-        absorbing_states=tuple(range(absorbing_start, n)),
         stochastic=stochastic,
         intertwining_residual=intertwining_residual,
         initial_residual=initial_residual,

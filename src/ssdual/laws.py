@@ -87,6 +87,25 @@ _POLE_TOL = 1e-12
 _CHUNK_ENTRIES = 2**16
 
 
+def _stable_pairs(thetas: np.ndarray) -> np.ndarray:
+    """Real ``thetas`` in an order whose dual has bounded powers, when one exists.
+
+    The i-th most negative theta b pairs with the i-th largest a, a first.
+    When a >= |b| the pair's pmf is proportional to
+    (a^{k+1} - b^{k+1}) / (a - b) >= 0, so every prefix of the dual is a law.
+    The unpaired thetas follow in ascending order.  Without a negative theta,
+    or when some pair has a < |b|, ``thetas`` come back as they are.
+    """
+    neg = np.sort(thetas[thetas < 0.0])
+    if not len(neg):
+        return thetas
+    rest = np.sort(thetas[thetas >= 0.0])[::-1]
+    partners = rest[: len(neg)]
+    if len(partners) < len(neg) or (partners < -neg).any():
+        return thetas
+    return np.concatenate([np.column_stack([partners, neg]).ravel(), rest[len(neg):][::-1]])
+
+
 def _real_probability(values: np.ndarray, context: str):
     """Strip an imaginary part below tolerance; raise beyond it."""
     if not np.iscomplexobj(values):
@@ -125,11 +144,9 @@ class DiscreteAbsorptionLaw:
         w = np.atleast_1d(np.asarray(level_weights)).copy()
         if len(w) != len(thetas) + 1:
             raise ValueError("level_weights must have one more entry than thetas")
-        self.normalization_residual = float(abs(w[-1] - 1.0))
-        if self.normalization_residual > tol_alg(len(w)):
-            raise PreconditionError(
-                f"target column does not reach 1 (residual {self.normalization_residual!r})"
-            )
+        residual = float(abs(w[-1] - 1.0))
+        if residual > tol_alg(len(w)):
+            raise PreconditionError(f"target column does not reach 1 (residual {residual!r})")
         w[-1] = 1.0
         if np.iscomplexobj(thetas) and np.abs(thetas.imag).max() == 0.0:
             thetas = thetas.real
@@ -151,9 +168,14 @@ class DiscreteAbsorptionLaw:
             self.kind = "numeric_cdf"
 
         self._dtype = float if real else complex
-        hold = np.append(np.asarray(thetas, dtype=self._dtype), 1.0)
-        self._hold = hold
-        self._move = 1.0 - hold
+        hold = np.asarray(thetas, dtype=self._dtype)
+        if real and not w[:-1].any():
+            # with level weights e_d the law is a convolution of geometric
+            # factors, whatever the order of theta; the dual's levels take the
+            # order that keeps its powers bounded
+            hold = _stable_pairs(hold)
+        self._hold = np.append(hold, 1.0)
+        self._move = 1.0 - self._hold
         self._cdf = np.empty(0, dtype=self._dtype)
         self._baby = None
         self._giant = None
@@ -346,7 +368,8 @@ class ContinuousAbsorptionLaw:
         Each time's Poisson series is cut where its own tail falls below
         TOL_SERIES, so a time's value does not depend on the other times
         requested with it.  The weights are formed for many times at once, in
-        chunks of about _CHUNK_ENTRIES.
+        chunks of about _CHUNK_ENTRIES.  A cut past MAX_HORIZON raises
+        ``HorizonExceeded`` before anything is allocated.
         """
         from scipy import special, stats
 
@@ -356,6 +379,10 @@ class ContinuousAbsorptionLaw:
         mus = self.rate * ts
         cuts = stats.poisson.isf(TOL_SERIES, mus).astype(int)
         k_max = int(cuts.max()) if ts.size else 0
+        if k_max > MAX_HORIZON:
+            raise HorizonExceeded(
+                f"Poisson series of {k_max} terms at t = {float(ts.max())!r} exceeds {MAX_HORIZON}"
+            )
         f_disc = _real_probability(self.discrete._cdf_at(np.arange(k_max + 1)), "cdf")
         log_fact = special.gammaln(np.arange(1, k_max + 2))
         out = np.empty(len(ts))

@@ -35,11 +35,9 @@ __all__ = [
     "SpectrumReport",
     "SpectralPolynomials",
     "PolynomialResiduals",
-    "SpectrumClassification",
     "eigenvalues",
     "spectral_polynomials",
     "polynomial_residuals",
-    "classify_spectrum",
 ]
 
 
@@ -96,15 +94,6 @@ class PolynomialResiduals:
     nonneg: bool
     cayley_residual: float
     rowsum_residual: float
-
-
-@dataclass(frozen=True, slots=True)
-class SpectrumClassification:
-    """Which analytic route the spectrum admits."""
-
-    real_nonneg: bool
-    polys_nonneg: bool
-    diagnosis: str
 
 
 def _symmetrized(mat: np.ndarray) -> np.ndarray | None:
@@ -301,21 +290,3 @@ def polynomial_residuals(kernel: TransitionKernel, spectrum: SpectrumReport) -> 
         rowsum_residual=float(rowsum),
     )
 
-
-def classify_spectrum(
-    spectrum: SpectrumReport, polys: SpectralPolynomials | PolynomialResiduals
-) -> SpectrumClassification:
-    """Decide between the closed-form mixture route and the numeric fallback."""
-    real_nonneg = spectrum.all_nonneg_real
-    polys_nonneg = polys.nonneg
-    if real_nonneg and polys_nonneg:
-        diagnosis = "real nonnegative spectrum with nonnegative spectral polynomials"
-    elif not spectrum.all_real:
-        diagnosis = "complex eigenvalue pairs present; numeric-CDF route"
-    elif not real_nonneg:
-        diagnosis = "negative real eigenvalues present; numeric-CDF route"
-    else:
-        diagnosis = "spectral polynomials have negative entries; numeric-CDF route"
-    return SpectrumClassification(
-        real_nonneg=real_nonneg, polys_nonneg=polys_nonneg, diagnosis=diagnosis
-    )

@@ -22,6 +22,21 @@ CT21_MATRIX = [[-2.0, 2.0, 0.0], [0.0, -1.0, 1.0], [0.0, 0.0, 0.0]]
 # eigenvalues of the BD3 transient block: (2 -+ sqrt(2)) / 4
 BD3_THETAS = ((2.0 - np.sqrt(2.0)) / 4.0, (2.0 + np.sqrt(2.0)) / 4.0)
 
+
+
+def stiff_birth_death_generator(n: int, lo: float, hi: float, seed: int = 0) -> np.ndarray:
+    """Birth-death rates 10^U(lo, hi) on n states, drawn up_0, up_1, down_1, up_2, ...;
+    the last state is absorbing."""
+    rng = np.random.default_rng(seed)
+    gen = np.zeros((n, n))
+    gen[0, 1] = 10.0 ** rng.uniform(lo, hi)
+    for i in range(1, n - 1):
+        gen[i, i + 1] = 10.0 ** rng.uniform(lo, hi)
+        gen[i, i - 1] = 10.0 ** rng.uniform(lo, hi)
+    np.fill_diagonal(gen, -gen.sum(axis=1))
+    return gen
+
+
 # one line per acceptance criterion, echoed after the run
 ACCEPTANCE_LINES: list[str] = []
 

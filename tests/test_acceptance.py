@@ -18,6 +18,7 @@ import pytest
 
 from ssdual import (
     DiscreteAbsorptionLaw,
+    RateGenerator,
     TransitionKernel,
     ZeroSuperdiagonal,
     absorption_law,
@@ -35,8 +36,6 @@ from ssdual import (
     separation,
     sst_law,
     stationary_law,
-    validate_generator,
-    validate_kernel,
     verify,
 )
 from ssdual.families import (
@@ -92,7 +91,7 @@ def generator_matrices():
 
 
 def _law_vs_power_oracle(matrix) -> float:
-    kernel, _ = validate_kernel(matrix)
+    kernel = TransitionKernel(matrix)
     law = absorption_law(kernel)
     q = law.quantile(0.9999)
     oracle = power_cdf_oracle(kernel, None, t_max=q)
@@ -113,7 +112,7 @@ def test_01_skipfree_law_matches_power_oracle(skipfree_matrices):
 
 
 def test_02_bd3_spot_values():
-    kernel, _ = validate_kernel(BD3_MATRIX)
+    kernel = TransitionKernel(BD3_MATRIX)
     law = absorption_law(kernel)
     thetas = np.sort(eigenvalues(kernel).nonunit.real)
     closed_form = float((1.0 - thetas[0]) * (1.0 - thetas[1]))
@@ -141,7 +140,7 @@ def test_03_general_mixture_and_weights(mixture_matrices):
     worst_last = 0.0
     worst_neg = 0.0
     for matrix in mixture_matrices:
-        kernel, _ = validate_kernel(matrix)
+        kernel = TransitionKernel(matrix)
         worst_dev = max(worst_dev, _law_vs_power_oracle(matrix))
         spec = eigenvalues(kernel)
         link = build_link(kernel, spec, None)
@@ -150,7 +149,7 @@ def test_03_general_mixture_and_weights(mixture_matrices):
         worst_last = max(worst_last, abs(float(w[-1])))
         worst_neg = min(worst_neg, float(w.min()))
 
-    gk, _ = validate_kernel(GEN3_MATRIX)
+    gk = TransitionKernel(GEN3_MATRIX)
     gs = eigenvalues(gk)
     glink = build_link(gk, gs, None)
     gw = mixture_weights(glink).weights
@@ -177,7 +176,7 @@ def test_04_intertwinings(skipfree_matrices, mixture_matrices):
     worst_mod = 0.0
     worst_init = 0.0
     for matrix in [*skipfree_matrices, *mixture_matrices, BD3_MATRIX, GEN3_MATRIX]:
-        kernel, _ = validate_kernel(matrix)
+        kernel = TransitionKernel(matrix)
         spec = eigenvalues(kernel)
         link = build_link(kernel, spec, None)
         dual = build_dual(spec)
@@ -199,7 +198,7 @@ def test_04_intertwinings(skipfree_matrices, mixture_matrices):
 def test_05_sst_equals_separation_complement(ergodic_matrices):
     worst = 0.0
     for matrix in ergodic_matrices:
-        kernel, _ = validate_kernel(matrix)
+        kernel = TransitionKernel(matrix)
         assert check_monotone_reversal(kernel, stationary_law(kernel)).monotone
         law = sst_law(kernel)
         profile = separation(kernel)
@@ -207,7 +206,7 @@ def test_05_sst_equals_separation_complement(ergodic_matrices):
         dev = float(np.abs(np.atleast_1d(law.cdf(ts)) - (1.0 - profile.s)).max())
         worst = max(worst, dev)
 
-    ek, _ = validate_kernel(ERG3_MATRIX)
+    ek = TransitionKernel(ERG3_MATRIX)
     elaw = sst_law(ek)
     eprof = separation(ek, t_max=2)
     erg3_dev = max(
@@ -228,13 +227,13 @@ def test_05_sst_equals_separation_complement(ergodic_matrices):
 def test_06_continuous_law_matches_ctmc_oracle(generator_matrices):
     worst = 0.0
     for matrix in generator_matrices:
-        gen, _ = validate_generator(matrix)
+        gen = RateGenerator(matrix)
         law = hypoexp_law(gen)
         grid = np.linspace(0.0, law.quantile(0.9999), 50)
         oracle = ctmc_cdf_oracle(gen, None, grid)
         worst = max(worst, float(np.abs(law.cdf(grid) - oracle).max()))
 
-    gen21, _ = validate_generator(CT21_MATRIX)
+    gen21 = RateGenerator(CT21_MATRIX)
     law21 = hypoexp_law(gen21)
     grid21 = np.linspace(0.0, 8.0, 50)
     closed = 1.0 - 2.0 * np.exp(-grid21) + np.exp(-2.0 * grid21)
@@ -249,7 +248,7 @@ def test_06_continuous_law_matches_ctmc_oracle(generator_matrices):
 
 
 def test_07_coupling_gates_bd3():
-    kernel, _ = validate_kernel(BD3_MATRIX)
+    kernel = TransitionKernel(BD3_MATRIX)
     start = time.perf_counter()
     report = verify(kernel, mode="skipfree", samples=100_000, seed=0)
     elapsed = time.perf_counter() - start
@@ -271,7 +270,7 @@ def test_07_coupling_gates_bd3():
 
 
 def test_08_general_dual_gates_gen3():
-    kernel, _ = validate_kernel(GEN3_MATRIX)
+    kernel = TransitionKernel(GEN3_MATRIX)
     report = verify(kernel, mode="general", samples=100_000, seed=0)
     ok = (
         report.l_passed
@@ -292,7 +291,7 @@ def test_08_general_dual_gates_gen3():
 
 
 def test_09_negative_controls():
-    kernel, _ = validate_kernel(BD3_MATRIX)
+    kernel = TransitionKernel(BD3_MATRIX)
     spec = eigenvalues(kernel)
     link = build_link(kernel, spec, None)
     dual = build_dual(spec)

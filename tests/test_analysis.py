@@ -12,12 +12,12 @@ from ssdual import (
     Analysis,
     NotErgodic,
     RateGenerator,
+    TransitionKernel,
     absorption_law,
     classify_generator,
     classify_kernel,
     separation,
     uniformize,
-    validate_kernel,
     verify,
 )
 from ssdual import laws
@@ -146,7 +146,7 @@ def test_sst_scans_the_separation_once(chain_file, separation_calls, capsys, ext
 
 
 def test_separation_is_cut_from_the_scan(separation_calls):
-    kernel = validate_kernel(random_ergodic_birth_death(np.random.default_rng(0), 6))[0]
+    kernel = TransitionKernel(random_ergodic_birth_death(np.random.default_rng(0), 6))
     analysis = Analysis(kernel, [0.0, 1.0, 0.0, 0.0, 0.0, 0.0])
     law = analysis.sst_law()
     assert analysis.certification == "separation-scan"

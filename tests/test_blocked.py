@@ -22,15 +22,15 @@ import pytest
 from ssdual import (
     DiscreteAbsorptionLaw,
     HorizonExceeded,
+    RateGenerator,
     TransitionKernel,
     absorption_law,
     hypoexp_law,
     power_cdf_oracle,
     separation,
     stationary_law,
-    validate_generator,
-    validate_kernel,
 )
+from ssdual import laws
 from ssdual.config import _BLOCK_STEPS as B
 from ssdual.config import CDF_TAIL, MAX_HORIZON
 from ssdual.families import (
@@ -40,18 +40,17 @@ from ssdual.families import (
     random_skipfree_generator,
 )
 
-from conftest import BD3_MATRIX, ERG3_MATRIX
+from conftest import BD3_MATRIX, ERG3_MATRIX, stiff_birth_death_generator
 
 #: block edges, and None for the law's 0.999 quantile
 HORIZONS = (0, B - 1, B, B + 1, 3 * B + 7, None)
 
 
 def stepwise_cdf(law: DiscreteAbsorptionLaw, horizon: int) -> np.ndarray:
-    """F(0..horizon) by the pure-birth recurrence, one step at a time."""
+    """F(0..horizon) by the pure-birth recurrence, one step at a time, on the
+    law's own levels (a signed spectrum's in stable pairs)."""
     w = law.level_weights
-    dtype = complex if np.iscomplexobj(w) or np.iscomplexobj(law.thetas) else float
-    hold = np.append(law.thetas, 1.0).astype(dtype)
-    move = 1.0 - hold
+    hold, move = law._hold, law._move
     occ = np.zeros(len(w), dtype=hold.dtype)
     occ[0] = 1.0
     out = [occ @ w]
@@ -97,7 +96,7 @@ def stepwise_separation(kernel: TransitionKernel, m0, t_max: int | None):
 
 
 def _kernel(mat) -> TransitionKernel:
-    return validate_kernel(mat)[0]
+    return TransitionKernel(mat)
 
 
 def bounded_drop_skipfree(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -219,6 +218,47 @@ def test_quantile_past_horizon_raises_quickly():
     assert law.cdf(MAX_HORIZON) == pytest.approx(1.0 - (1.0 - 1e-8) ** MAX_HORIZON, rel=1e-9)
 
 
+def test_stable_pairs_order():
+    thetas = np.array([-0.5, -0.2, 0.0, 0.1, 0.3, 0.6])
+    # -0.5 pairs with 0.6 and -0.2 with 0.3, the positive first; 0.0 and 0.1 follow
+    assert laws._stable_pairs(thetas).tolist() == [0.6, -0.5, 0.3, -0.2, 0.0, 0.1]
+    for kept in ([0.1, 0.2], [-0.5, 0.3, 0.4], [-0.3, -0.2, 0.5], [-0.2, 0.0]):
+        kept = np.array(kept)
+        assert laws._stable_pairs(kept) is kept
+
+
+def test_stable_pairs_only_for_a_point_mass_start():
+    thetas = np.array([-0.5, 0.6])
+    assert DiscreteAbsorptionLaw(thetas, [0.0, 0.0, 1.0])._hold.tolist() == [0.6, -0.5, 1.0]
+    law = DiscreteAbsorptionLaw(thetas, [0.25, 0.5, 1.0])
+    assert law._hold.tolist() == [-0.5, 0.6, 1.0]
+    assert law.thetas is thetas
+
+
+@pytest.mark.parametrize("n", [80, 100, 120, 200])
+def test_signed_birth_death_in_stable_pairs(n):
+    # in the canonical order the CDF was off by 5e-9 to 5e6 here, and the
+    # largest entry of the giant step was 2e6 to 2e17
+    kernel = TransitionKernel(random_birth_death_kernel(np.random.default_rng(0), n))
+    law = absorption_law(kernel)
+    assert law.thetas.min() < 0.0 and np.all(np.diff(law.thetas) >= 0.0)
+    oracle = power_cdf_oracle(kernel, None, 34_000)
+    assert np.abs(law.cdf(np.arange(20_001)) - oracle[:20_001]).max() <= 1e-12
+    assert oracle[-1] >= 1.0 - 1e-6
+    assert law.quantile(1.0 - 1e-6) == int(np.argmax(oracle >= 1.0 - 1e-6))
+    assert np.abs(law._giant_step()).max() <= 1.0
+
+
+def test_continuous_cdf_past_the_horizon_raises_before_allocating():
+    # rates 1e-4 to 1e2: the Poisson series at the mean would have 2.2e10 terms
+    law = hypoexp_law(RateGenerator(stiff_birth_death_generator(8, -4.0, 2.0)))
+    with pytest.raises(HorizonExceeded, match="Poisson series"):
+        law.cdf(law.mean())
+    assert len(law.discrete._cdf) == 0
+    with pytest.raises(HorizonExceeded):
+        law.quantile(0.5)
+
+
 SEPARATION_CHAINS = {
     "erg3": lambda: TransitionKernel(np.array(ERG3_MATRIX)),
     "ergodic_bd_6": lambda: _kernel(random_ergodic_birth_death(np.random.default_rng(1), 6)),
@@ -277,7 +317,7 @@ def test_separation_non_mixing_raises():
 
 
 def test_continuous_chunks_match_scalar_calls():
-    gen, _ = validate_generator(random_skipfree_generator(np.random.default_rng(4), 6))
+    gen = RateGenerator(random_skipfree_generator(np.random.default_rng(4), 6))
     law = hypoexp_law(gen, random_initial_law(np.random.default_rng(4), 6))
     # the series runs to k = 84 here, so the 1000 times span two chunks
     ts = np.linspace(0.0, 3.0 * law.mean(), 1000)

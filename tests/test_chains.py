@@ -11,15 +11,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ssdual import (
-    InitialLaw,
+    Analysis,
     NonStochastic,
     NotErgodic,
     PreconditionError,
     RateGenerator,
+    SingularSystem,
     TargetNotAccessible,
     ThetaTooSmall,
     TransitionKernel,
     ValidationError,
+    classify_generator,
     classify_kernel,
     ctmc_cdf_oracle,
     mean_absorption_ctmc_oracle,
@@ -29,9 +31,8 @@ from ssdual import (
     sst_law,
     stationary_law,
     uniformize,
-    validate_generator,
-    validate_kernel,
 )
+from ssdual.cli import main
 from ssdual.chains import ChainClass, _classify_support, as_initial, require_absorbing
 from ssdual.families import (
     random_birth_death_kernel,
@@ -39,7 +40,7 @@ from ssdual.families import (
     random_skipfree_kernel,
 )
 
-from conftest import BD3_MATRIX, ERG3_MATRIX, GEN3_MATRIX
+from conftest import BD3_MATRIX, ERG3_MATRIX, GEN3_MATRIX, stiff_birth_death_generator
 
 
 class TestTransitionKernel:
@@ -103,9 +104,12 @@ class TestClassification:
         k = TransitionKernel(np.array([[0.0, 1.0], [1.0, 0.0]]))
         assert not classify_kernel(k).ergodic
 
-    def test_validate_rejects_inaccessible_target(self):
+    def test_validate_rejects_inaccessible_target(self, chain_file):
+        assert not classify_kernel(TransitionKernel(np.eye(2))).target_accessible
+        m = np.array([[0.5, 0.0, 0.5], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
         with pytest.raises(TargetNotAccessible):
-            validate_kernel(np.eye(2))
+            Analysis(TransitionKernel(m)).absorption_law()
+        assert main(["validate", chain_file(np.eye(2))]) == 2
 
     def test_require_absorbing(self, erg3, bd3):
         require_absorbing(bd3)
@@ -119,8 +123,8 @@ class TestInitialLaw:
         assert as_initial([0.5, 0.5, 0.0], 3) == pytest.approx([0.5, 0.5, 0.0])
 
     def test_rejects_bad_mass(self):
-        with pytest.raises(ValidationError):
-            InitialLaw(np.array([0.5, 0.6]))
+        with pytest.raises(ValidationError, match="sums to"):
+            as_initial(np.array([0.5, 0.6]), 2)
 
     def test_rejects_wrong_length(self):
         with pytest.raises(ValidationError):
@@ -178,6 +182,26 @@ class TestOracles:
     def test_ctmc_mean_rates_2_1(self, ct21):
         assert mean_absorption_ctmc_oracle(ct21) == pytest.approx(1.5, abs=1e-12)
 
+    def test_mean_needs_every_state_to_reach_the_target(self):
+        for m in ([[1.0, 0.0, 0.0], [0.5, 0.0, 0.5], [0.0, 0.0, 1.0]],
+                  [[0.5, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]):
+            with pytest.raises(SingularSystem):
+                mean_absorption_oracle(TransitionKernel(np.array(m)))
+
+    @pytest.mark.parametrize("n", [40, 60, 70])
+    def test_slow_skipfree_mean_to_relative_accuracy(self, n):
+        # means of 4e8, 5e13 and 4e16 steps; a fundamental-matrix solve that
+        # takes 1 - p(i, i) for the diagonal is off by 1e-8, 2e-3 and 4 relative
+        kernel = TransitionKernel(random_skipfree_kernel(np.random.default_rng(0), n))
+        exact = _mpmath_mean(kernel.matrix)
+        assert abs(mean_absorption_oracle(kernel) - exact) <= 1e-12 * exact
+
+    def test_stiff_generator_mean_to_relative_accuracy(self):
+        gen = RateGenerator(stiff_birth_death_generator(8, -4.0, 2.0))
+        m0 = np.full(8, 1.0 / 8.0)
+        exact = _mpmath_mean(gen.matrix, m0)
+        assert abs(mean_absorption_ctmc_oracle(gen, m0) - exact) <= 1e-12 * exact
+
     def test_ctmc_cdf_closed_form(self, ct21):
         ts = np.linspace(0.0, 8.0, 33)
         closed = 1.0 - 2.0 * np.exp(-ts) + np.exp(-2.0 * ts)
@@ -186,6 +210,22 @@ class TestOracles:
     def test_ctmc_cdf_scalar_input(self, ct21):
         out = ctmc_cdf_oracle(ct21, None, 1.0)
         assert isinstance(out, float)
+
+
+def _mpmath_mean(matrix: np.ndarray, m0=None) -> float:
+    """m0' x for (D - O) x = 1 at 80 digits: O the transient block's off-diagonal
+    entries, D each row's off-diagonal sum (target column included)."""
+    mpmath = pytest.importorskip("mpmath")
+    d = len(matrix) - 1
+    with mpmath.workdps(80):
+        a = mpmath.matrix(d, d)
+        for i in range(d):
+            for j in range(d):
+                a[i, j] = -mpmath.mpf(matrix[i, j]) if i != j else mpmath.fsum(
+                    mpmath.mpf(matrix[i, k]) for k in range(d + 1) if k != i)
+        x = mpmath.lu_solve(a, mpmath.matrix([1] * d))
+        weights = [1.0] + [0.0] * (d - 1) if m0 is None else m0
+        return float(mpmath.fsum(mpmath.mpf(w) * x[i] for i, w in enumerate(weights[:d])))
 
 
 class TestUniformize:
@@ -200,22 +240,27 @@ class TestUniformize:
         with pytest.raises(ThetaTooSmall):
             uniformize(ct21, theta=1.5)
 
-    def test_validate_generator_accessibility(self):
+    def test_validate_generator_accessibility(self, chain_file):
+        assert not classify_generator(RateGenerator(np.zeros((2, 2)))).target_accessible
+        g = np.array([[-1.0, 0.0, 1.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
         with pytest.raises(TargetNotAccessible):
-            validate_generator(np.zeros((2, 2)))
+            Analysis(RateGenerator(g)).absorption_law()
+        assert main(["validate", chain_file(np.zeros((2, 2)), mode="continuous")]) == 2
 
 
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 10_000), st.integers(3, 8))
 def test_random_skipfree_classifies_as_skipfree(seed, n):
-    _, cls = validate_kernel(random_skipfree_kernel(np.random.default_rng(seed), n))
+    cls = classify_kernel(TransitionKernel(random_skipfree_kernel(np.random.default_rng(seed), n)))
     assert cls.skip_free_up and cls.superdiag_positive and cls.target_absorbing
+    assert cls.target_accessible
 
 
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 10_000), st.integers(3, 8))
 def test_random_birth_death_is_birth_death(seed, n):
-    _, cls = validate_kernel(random_birth_death_kernel(np.random.default_rng(seed), n))
+    kernel = TransitionKernel(random_birth_death_kernel(np.random.default_rng(seed), n))
+    cls = classify_kernel(kernel)
     assert cls.birth_death and cls.target_accessible
 
 

@@ -20,7 +20,13 @@ import pytest
 from ssdual import hypoexp_law
 from ssdual.config import _TRACE_BLOCK
 
-from conftest import BD3_MATRIX, CT21_MATRIX, ERG3_MATRIX, GEN3_MATRIX
+from conftest import (
+    BD3_MATRIX,
+    CT21_MATRIX,
+    ERG3_MATRIX,
+    GEN3_MATRIX,
+    stiff_birth_death_generator,
+)
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -204,6 +210,13 @@ class TestAbsorption:
     def test_ergodic_chain_exits_3(self, chain_file):
         r = run_cli("absorption", chain_file(ERG3_MATRIX))
         assert r.returncode == 3
+
+    def test_stiff_generator_exits_3(self, chain_file):
+        # the Poisson series at the mean would have 2.2e10 terms
+        r = run_cli("absorption", chain_file(stiff_birth_death_generator(8, -4.0, 2.0),
+                                              mode="continuous"))
+        assert r.returncode == 3
+        assert "Poisson series" in r.stderr and "Traceback" not in r.stderr
 
 
 class TestSst:

@@ -25,7 +25,6 @@ from ssdual import (
     spectral_polynomials,
     stationary_law,
     uniformize,
-    validate_kernel,
 )
 from ssdual.chains import as_initial
 from ssdual.families import (
@@ -55,7 +54,7 @@ def _tensor_rows(kernel, spec, m0):
 
 def _reversible_random_start(n):
     rng = np.random.default_rng(0)
-    return validate_kernel(random_reversible_absorbing_kernel(rng, n))[0], random_initial_law(rng, n)
+    return TransitionKernel(random_reversible_absorbing_kernel(rng, n)), random_initial_law(rng, n)
 
 
 LINK_CHAINS = {
@@ -83,7 +82,7 @@ def test_complex_link_no_less_accurate_than_tensor():
     # differ by 4e-8 here), so each is measured against the same recurrence
     # carried out in 50-digit arithmetic from the same eigenvalues
     mp = pytest.importorskip("mpmath")
-    kernel = validate_kernel(random_skipfree_kernel(np.random.default_rng(0), 30))[0]
+    kernel = TransitionKernel(random_skipfree_kernel(np.random.default_rng(0), 30))
     spec = eigenvalues(kernel)
     assert not spec.all_real
     with mp.workdps(50):
@@ -212,8 +211,8 @@ class TestModifiedDual:
         assert mod.absorbing_start == 2
         assert mod.intertwining_residual < 1e-12
         assert mod.initial_residual < 1e-14
-        # row-wise: kernel = bidiagonal + rank-one target column
-        assert np.abs(mod.bidiagonal + mod.target_column - mod.kernel).max() == 0.0
+        # a bidiagonal part that climbs or holds, plus a jump straight to the target
+        assert not np.triu(mod.kernel[:, :-1], 2).any() and not np.tril(mod.kernel, -1).any()
 
     def test_two_point_initial_with_target_mass(self, gen3):
         m0 = np.array([0.25, 0.25, 0.5])
@@ -230,7 +229,7 @@ class TestMonotoneReversal:
         assert rep.monotone and rep.witness is None
 
     def test_symmetric_cycle_not_monotone(self):
-        k, _ = validate_kernel([[0.0, 0.5, 0.5], [0.5, 0.0, 0.5], [0.5, 0.5, 0.0]])
+        k = TransitionKernel([[0.0, 0.5, 0.5], [0.5, 0.0, 0.5], [0.5, 0.5, 0.0]])
         rep = check_monotone_reversal(k, stationary_law(k))
         assert not rep.monotone
         assert rep.witness == (0, 1)
@@ -265,7 +264,7 @@ class TestSeparation:
 @settings(max_examples=20, deadline=None)
 @given(st.integers(0, 10_000), st.integers(3, 8))
 def test_skipfree_link_properties(seed, n):
-    k, _ = validate_kernel(random_skipfree_kernel(np.random.default_rng(seed), n))
+    k = TransitionKernel(random_skipfree_kernel(np.random.default_rng(seed), n))
     spec, link, dual = _pipeline(k)
     assert link.lower_triangular
     assert link.rows[-1, -1] == pytest.approx(1.0, abs=1e-9)
@@ -278,7 +277,7 @@ def test_skipfree_link_properties(seed, n):
 def test_modified_dual_identities_on_random_chains(seed, n, random_start):
     rng = np.random.default_rng(seed)
     fam = random_reversible_absorbing_kernel if seed % 2 else random_upper_triangular_kernel
-    k, _ = validate_kernel(fam(rng, n))
+    k = TransitionKernel(fam(rng, n))
     m0 = random_initial_law(rng, n) if random_start else None
     spec = eigenvalues(k)
     link = build_link(k, spec, m0)
@@ -290,7 +289,7 @@ def test_modified_dual_identities_on_random_chains(seed, n, random_start):
 @settings(max_examples=15, deadline=None)
 @given(st.integers(0, 10_000), st.integers(3, 7))
 def test_ergodic_link_weights_normalize(seed, n):
-    k, _ = validate_kernel(random_ergodic_birth_death(np.random.default_rng(seed), n))
+    k = TransitionKernel(random_ergodic_birth_death(np.random.default_rng(seed), n))
     _, link, _ = _pipeline(k)
     pi = stationary_law(k)
     w = mixture_weights(link, normalizer=float(pi[-1]))

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ssdual import validate_generator, validate_kernel
+from ssdual import RateGenerator, TransitionKernel, classify_generator, classify_kernel
 from ssdual.families import (
     random_birth_death_generator,
     random_birth_death_kernel,
@@ -21,8 +21,8 @@ def test_skipfree_kernels_classify():
     rng = np.random.default_rng(0)
     for _ in range(50):
         n = int(rng.integers(3, 10))
-        _, cls = validate_kernel(random_skipfree_kernel(rng, n))
-        assert cls.skip_free_up and cls.target_absorbing
+        cls = classify_kernel(TransitionKernel(random_skipfree_kernel(rng, n)))
+        assert cls.skip_free_up and cls.target_absorbing and cls.target_accessible
 
 
 def test_birth_death_lazy_holds():
@@ -31,8 +31,8 @@ def test_birth_death_lazy_holds():
         n = int(rng.integers(3, 9))
         m = random_birth_death_kernel(rng, n, lazy=True)
         assert np.all(np.diag(m)[:-1] >= 0.5)
-        _, cls = validate_kernel(m)
-        assert cls.birth_death and cls.target_absorbing
+        cls = classify_kernel(TransitionKernel(m))
+        assert cls.birth_death and cls.target_absorbing and cls.target_accessible
 
 
 def test_reversible_family_is_lazy_and_symmetric_up_to_row_scale():
@@ -40,7 +40,7 @@ def test_reversible_family_is_lazy_and_symmetric_up_to_row_scale():
     for _ in range(50):
         n = int(rng.integers(3, 9))
         m = random_reversible_absorbing_kernel(rng, n)
-        validate_kernel(m)
+        assert classify_kernel(TransitionKernel(m)).target_accessible
         assert np.all(np.diag(m)[:-1] >= 0.5)
         # detailed balance: row scales s_i recover a symmetric weight matrix
         block = m[:-1, :-1] - 0.5 * np.eye(n - 1)
@@ -54,7 +54,7 @@ def test_upper_triangular_never_moves_down():
     for _ in range(50):
         n = int(rng.integers(3, 9))
         m = random_upper_triangular_kernel(rng, n)
-        validate_kernel(m)
+        assert classify_kernel(TransitionKernel(m)).target_accessible
         assert np.allclose(np.tril(m, -1), 0.0)
 
 
@@ -63,8 +63,8 @@ def test_ergodic_family_is_ergodic():
     for _ in range(50):
         n = int(rng.integers(3, 9))
         m = random_ergodic_birth_death(rng, n)
-        _, cls = validate_kernel(m)
-        assert cls.ergodic and cls.birth_death
+        cls = classify_kernel(TransitionKernel(m))
+        assert cls.ergodic and cls.birth_death and cls.target_accessible
         assert np.all(np.diag(m) >= 0.5)
 
 
@@ -72,9 +72,10 @@ def test_generators_validate():
     rng = np.random.default_rng(5)
     for _ in range(30):
         n = int(rng.integers(3, 9))
-        _, cls = validate_generator(random_skipfree_generator(rng, n))
-        assert cls.skip_free_up
-        validate_generator(random_birth_death_generator(rng, n))
+        cls = classify_generator(RateGenerator(random_skipfree_generator(rng, n)))
+        assert cls.skip_free_up and cls.target_accessible
+        gen = RateGenerator(random_birth_death_generator(rng, n))
+        assert classify_generator(gen).target_accessible
 
 
 def test_initial_law_normalized():

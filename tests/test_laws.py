@@ -28,8 +28,6 @@ from ssdual import (
     sst_law,
     stationary_law,
     uniformize,
-    validate_generator,
-    validate_kernel,
 )
 from ssdual.families import (
     random_birth_death_generator,
@@ -189,7 +187,7 @@ class TestSstLaw:
             sst_law(erg3, [0.0, 0.0, 1.0])
 
     def test_non_monotone_reversal_rejected(self):
-        k, _ = validate_kernel([[0.0, 0.5, 0.5], [0.5, 0.0, 0.5], [0.5, 0.5, 0.0]])
+        k = TransitionKernel([[0.0, 0.5, 0.5], [0.5, 0.0, 0.5], [0.5, 0.5, 0.0]])
         with pytest.raises(MonotoneHypothesisFails, match="monotone"):
             sst_law(k)
 
@@ -258,7 +256,7 @@ class TestContinuousLaw:
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 100_000), st.integers(3, 8))
 def test_skipfree_law_matches_oracle(seed, n):
-    k, _ = validate_kernel(random_skipfree_kernel(np.random.default_rng(seed), n))
+    k = TransitionKernel(random_skipfree_kernel(np.random.default_rng(seed), n))
     law = absorption_law(k)
     horizon = law.quantile(0.9999)
     oracle = power_cdf_oracle(k, None, horizon)
@@ -269,7 +267,7 @@ def test_skipfree_law_matches_oracle(seed, n):
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 100_000), st.integers(3, 8))
 def test_upper_triangular_mixture_weights(seed, n):
-    k, _ = validate_kernel(random_upper_triangular_kernel(np.random.default_rng(seed), n))
+    k = TransitionKernel(random_upper_triangular_kernel(np.random.default_rng(seed), n))
     law = absorption_law(k)
     assert law.weights.min() >= -1e-10
     assert law.weights.sum() == pytest.approx(1.0, abs=1e-10)
@@ -280,7 +278,7 @@ def test_upper_triangular_mixture_weights(seed, n):
 def test_random_generators_match_ctmc_oracle(seed, n, birth_death):
     rng = np.random.default_rng(seed)
     fam = random_birth_death_generator if birth_death else random_skipfree_generator
-    gen, _ = validate_generator(fam(rng, n))
+    gen = RateGenerator(fam(rng, n))
     law = hypoexp_law(gen)
     ts = np.linspace(0.0, law.quantile(0.999), 25)
     oracle = ctmc_cdf_oracle(gen, None, ts)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import tracemalloc
 
 import numpy as np
@@ -12,13 +13,13 @@ from hypothesis import strategies as st
 from ssdual import (
     EigenFailure,
     TransitionKernel,
-    classify_spectrum,
+    classify_kernel,
     eigenvalues,
     polynomial_residuals,
     spectral_polynomials,
     stationary_law,
-    validate_kernel,
 )
+from ssdual.cli import main
 from ssdual.config import TOL_EIG
 from ssdual.families import (
     random_birth_death_kernel,
@@ -28,7 +29,7 @@ from ssdual.families import (
     random_upper_triangular_kernel,
 )
 
-from conftest import BD3_THETAS
+from conftest import BD3_MATRIX, BD3_THETAS
 
 # transient block is a near-cycle: one real and one complex-conjugate pair
 COMPLEX4 = np.array([
@@ -232,25 +233,36 @@ def test_streamed_residuals_memory_is_quadratic():
 
 
 class TestClassifySpectrum:
-    def test_bd3_closed_form(self, bd3):
-        spec = eigenvalues(bd3)
-        polys = spectral_polynomials(bd3, spec)
-        cls = classify_spectrum(spec, polys)
-        assert cls.real_nonneg and cls.polys_nonneg
+    """The ``spectrum`` command's route diagnosis, read off the spectrum and the Q_k."""
 
-    def test_complex_goes_numeric(self):
-        k = TransitionKernel(COMPLEX4)
-        spec = eigenvalues(k)
-        polys = spectral_polynomials(k, spec)
-        cls = classify_spectrum(spec, polys)
-        assert not cls.real_nonneg
-        assert "complex" in cls.diagnosis
+    @staticmethod
+    def spectrum_class(matrix, chain_file, capsys) -> dict:
+        assert main(["spectrum", chain_file(matrix)]) == 0
+        return json.loads(capsys.readouterr().out)["spectrum_class"]
+
+    def test_bd3_closed_form(self, chain_file, capsys):
+        cls = self.spectrum_class(BD3_MATRIX, chain_file, capsys)
+        assert cls["real_nonneg"] and cls["polys_nonneg"]
+        assert cls["diagnosis"] == "real nonnegative spectrum with nonnegative spectral polynomials"
+
+    def test_complex_goes_numeric(self, chain_file, capsys):
+        cls = self.spectrum_class(COMPLEX4, chain_file, capsys)
+        assert not cls["real_nonneg"]
+        assert "complex" in cls["diagnosis"]
+
+    def test_negative_goes_numeric(self, chain_file, capsys):
+        # the transient block [[0, 1], [1/2, 0]] has eigenvalues -+ 1/sqrt(2)
+        cls = self.spectrum_class([[0.0, 1.0, 0.0], [0.5, 0.0, 0.5], [0.0, 0.0, 1.0]],
+                                  chain_file, capsys)
+        assert not cls["real_nonneg"]
+        assert cls["diagnosis"] == "negative real eigenvalues present; numeric-CDF route"
 
 
 @settings(max_examples=20, deadline=None)
 @given(st.integers(0, 10_000), st.integers(3, 8))
 def test_skipfree_polynomial_invariants(seed, n):
-    k, cls = validate_kernel(random_skipfree_kernel(np.random.default_rng(seed), n))
+    k = TransitionKernel(random_skipfree_kernel(np.random.default_rng(seed), n))
+    cls = classify_kernel(k)
     spec = eigenvalues(k, cls)
     polys = spectral_polynomials(k, spec)
     assert polys.cayley_residual < 1e-9 * n
@@ -260,9 +272,8 @@ def test_skipfree_polynomial_invariants(seed, n):
 @settings(max_examples=20, deadline=None)
 @given(st.integers(0, 10_000), st.integers(3, 8))
 def test_reversible_lazy_spectrum_nonneg(seed, n):
-    k, cls = validate_kernel(
-        random_reversible_absorbing_kernel(np.random.default_rng(seed), n)
-    )
+    k = TransitionKernel(random_reversible_absorbing_kernel(np.random.default_rng(seed), n))
+    cls = classify_kernel(k)
     spec = eigenvalues(k, cls)
     assert spec.all_nonneg_real
 
@@ -270,7 +281,8 @@ def test_reversible_lazy_spectrum_nonneg(seed, n):
 @settings(max_examples=20, deadline=None)
 @given(st.integers(0, 10_000), st.integers(3, 8))
 def test_lazy_ergodic_birth_death_spectrum(seed, n):
-    k, cls = validate_kernel(random_ergodic_birth_death(np.random.default_rng(seed), n))
+    k = TransitionKernel(random_ergodic_birth_death(np.random.default_rng(seed), n))
+    cls = classify_kernel(k)
     spec = eigenvalues(k, cls)
     assert spec.all_nonneg_real
     assert spec.values[-1] == 1.0
