@@ -57,6 +57,7 @@ from .errors import (
     NonStochastic,
     NotErgodic,
     NotStochasticLink,
+    NumericalBreakdown,
     PoleAtU,
     PreconditionError,
     SSDualError,
@@ -112,5 +113,5 @@ __all__ = [
     "PreconditionError", "ZeroSuperdiagonal", "NotErgodic", "SingularSystem",
     "ThetaTooSmall", "EigenFailure", "PoleAtU", "ImaginaryResidue",
     "HypothesisFailed", "MonotoneHypothesisFails", "NotStochasticLink",
-    "InsufficientSamples", "HorizonExceeded",
+    "InsufficientSamples", "HorizonExceeded", "NumericalBreakdown",
 ]

@@ -12,7 +12,8 @@ print is the one the coupling tested.  ``coupling.verify`` infers the absent
 ``--mode``; it and ``Analysis.sst_law`` reject a chain they do not fit.
 
 Exit codes: 0 success, 2 invalid input, 3 failed mathematical precondition,
-4 structural hypothesis rejected, 5 verification gates failed.
+4 structural hypothesis rejected, 5 verification gates failed, 6 numerical
+breakdown (an in-scope chain that double precision cannot resolve).
 """
 
 from __future__ import annotations
@@ -38,7 +39,13 @@ from .chains import (
 from .config import _VERIFY_GATES, tol_alg
 from .coupling import verify
 from .duality import check_intertwining, mixture_weights
-from .errors import HypothesisFailed, SSDualError, TargetNotAccessible, ValidationError
+from .errors import (
+    HypothesisFailed,
+    NumericalBreakdown,
+    SSDualError,
+    TargetNotAccessible,
+    ValidationError,
+)
 from .laws import Analysis, ContinuousAbsorptionLaw
 from .spectral import polynomial_residuals
 
@@ -650,6 +657,9 @@ def main(argv: list[str] | None = None) -> int:
     except HypothesisFailed as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
+    except NumericalBreakdown as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 6
     except SSDualError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

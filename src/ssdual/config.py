@@ -44,7 +44,9 @@ MAX_HORIZON = 10**6
 #: Time steps evaluated together by the discrete CDF and the separation scan
 #: (baby steps P^0..P^{B-1}, giant step P^B).  The dual's giant step is built
 #: on its band of B + 1 diagonals, about B n min(n, B) / 2 products for n
-#: levels.  Affects speed and rounding only.
+#: levels.  A continuous CDF's giant step spans B / 4 uniformization steps,
+#: the Poisson(B / 4) mixture of the same baby steps.  Affects speed and
+#: rounding only.
 _BLOCK_STEPS = 64
 
 #: Coupled traces that ``verify`` simulates together from one Philox stream.

@@ -3,7 +3,8 @@
 Validation errors mean the input object is malformed; precondition errors mean
 the input is well-formed but outside the mathematical scope of the requested
 operation; hypothesis errors mean a structural hypothesis that the duality
-construction needs was checked and found false.
+construction needs was checked and found false; a numerical breakdown means
+the input is in scope but double precision cannot resolve the answer.
 """
 
 
@@ -73,6 +74,11 @@ class MonotoneHypothesisFails(HypothesisFailed):
 class NotStochasticLink(HypothesisFailed):
     """The link (or modified dual) has negative or complex entries, so no
     sample-path coupling exists."""
+
+
+class NumericalBreakdown(SSDualError):
+    """The chain is in scope but double precision cannot resolve what it needs
+    (e.g. a reachable target whose slowest mode rounds to the unit eigenvalue)."""
 
 
 class InsufficientSamples(SSDualError):

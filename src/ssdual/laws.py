@@ -24,9 +24,14 @@ grows in whole blocks, doubling its length up to MAX_HORIZON; ``cdf`` and
 ``pmf`` index it and ``quantile`` searches it.  The values agree with a
 step-by-step recurrence to rounding, not bit for bit.
 
-Discrete laws live on {0, 1, 2, ...}; continuous laws are their Poisson
-mixtures through a uniformization rate, with the Poisson weights of many
-times formed at once.
+Discrete laws live on {0, 1, 2, ...}.  A continuous law is the same dual in
+continuous time, F(t) = e0 exp(Ghat t) w with Ghat = rate (Phat - I), and it
+is evaluated the same way.  Its giant step is E = exp(Ghat h) over
+h = (B / 4) / rate, the Poisson(B / 4) mixture of Phat^0..Phat^{B-1}, built on
+the band beside Phat^B; the blocks e0 E^s R are cached and grown as the
+discrete ones are.  With rate t = s B / 4 + r, F(t) is block s weighted by
+the Poisson(r) probabilities of 0..B-1 steps.  The Poisson mass past B - 1
+steps is at most 1.4e-19 for every r <= B / 4, so no series is cut per time.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ from functools import cached_property
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .config import _BLOCK_STEPS, IMAG_PROB_TOL, MAX_HORIZON, TOL_NONNEG, TOL_SERIES, tol_alg
+from .config import _BLOCK_STEPS, IMAG_PROB_TOL, MAX_HORIZON, TOL_NONNEG, tol_alg
 from .errors import (
     HorizonExceeded,
     ImaginaryResidue,
@@ -83,8 +88,8 @@ __all__ = [
 
 _POLE_TOL = 1e-12
 
-#: entries of the Poisson weight matrix formed at once by the continuous CDF
-_CHUNK_ENTRIES = 2**16
+#: uniformization steps in one continuous giant step, the mean of its Poisson mixture
+_GIANT_MEAN = _BLOCK_STEPS / 4
 
 
 def _stable_pairs(thetas: np.ndarray) -> np.ndarray:
@@ -114,6 +119,44 @@ def _real_probability(values: np.ndarray, context: str):
     if worst > IMAG_PROB_TOL:
         raise ImaginaryResidue(f"{context} retained imaginary part {worst!r}")
     return values.real
+
+
+def _poisson_weights(mus: np.ndarray) -> np.ndarray:
+    """Poisson(mu) probabilities of 0..B-1 steps, column i for mus[i] in [0, B / 4].
+
+    A running product from e^{-mu}, which cannot underflow for mu this small.
+    """
+    out = np.empty((_BLOCK_STEPS, len(mus)))
+    out[0] = np.exp(-mus)
+    np.divide(mus, np.arange(1, _BLOCK_STEPS)[:, None], out=out[1:])
+    return np.cumprod(out, axis=0, out=out)
+
+
+def _next_blocks(row, count: int, step, baby: np.ndarray):
+    """Blocks row S^i R for i = 1..count, with S = step().
+
+    Without a row the blocks are e0 S^i R for i = 0..count-1, and a single
+    one never calls ``step``.  Returns the blocks and the last row e0 S^i.
+    """
+    rows = np.zeros((count, baby.shape[0]), dtype=baby.dtype)
+    giant = step() if row is not None or count > 1 else None
+    if row is None:
+        rows[0, 0] = 1.0
+    else:
+        np.matmul(row, giant, out=rows[0])
+    for prev, nxt in zip(rows, rows[1:]):
+        np.matmul(prev, giant, out=nxt)
+    return rows @ baby, rows[-1]
+
+
+def _dense(band: np.ndarray) -> np.ndarray:
+    """The n x n upper triangular matrix whose diagonal k is row k of ``band``."""
+    n = band.shape[1]
+    out = np.zeros((n, n), dtype=band.dtype)
+    flat = out.reshape(-1)
+    for k in range(band.shape[0]):
+        flat[k : (n - k) * (n + 1) : n + 1] = band[k, : n - k]
+    return out
 
 
 class DiscreteAbsorptionLaw:
@@ -191,15 +234,20 @@ class DiscreteAbsorptionLaw:
     # -- evaluation ----------------------------------------------------
 
     def _baby_steps(self) -> np.ndarray:
-        """Columns Phat^k w for k < _BLOCK_STEPS, so that F(sB + k) = e0 Phat^{sB} . column k."""
-        out = np.empty((len(self._hold), _BLOCK_STEPS), dtype=self._dtype)
-        col = self.level_weights.astype(self._dtype)
-        for k in range(_BLOCK_STEPS):
-            out[:, k] = col
-            nxt = col * self._hold
-            nxt[:-1] += self._move[:-1] * col[1:]
-            col = nxt
-        return out
+        """Columns Phat^k w for k < _BLOCK_STEPS, so that F(sB + k) = e0 Phat^{sB} . column k.
+
+        Built on first use and kept; the continuous law shares them.
+        """
+        if self._baby is None:
+            out = np.empty((len(self._hold), _BLOCK_STEPS), dtype=self._dtype)
+            col = self.level_weights.astype(self._dtype)
+            for k in range(_BLOCK_STEPS):
+                out[:, k] = col
+                nxt = col * self._hold
+                nxt[:-1] += self._move[:-1] * col[1:]
+                col = nxt
+            self._baby = out
+        return self._baby
 
     def _extend(self, t: int) -> None:
         """Grow the CDF cache to cover step t, in whole blocks, doubling its length.
@@ -210,60 +258,58 @@ class DiscreteAbsorptionLaw:
         have = len(self._cdf)
         if t < have:
             return
-        if self._baby is None:
-            self._baby = self._baby_steps()
         want = max(t + 1, min(2 * have, MAX_HORIZON + 1))
-        # row s is e0 Phat^{sB}, for the blocks s that this call adds
-        rows = np.zeros((-(-(want - have) // _BLOCK_STEPS), len(self._hold)), dtype=self._dtype)
-        giant = self._giant_step() if have or len(rows) > 1 else None
-        if have:
-            rows[0] = self._row @ giant
-        else:
-            rows[0, 0] = 1.0
-        for i in range(1, len(rows)):
-            rows[i] = rows[i - 1] @ giant
-        self._row = rows[-1]
-        self._cdf = np.concatenate([self._cdf, (rows @ self._baby).ravel()])
+        count = -(-(want - have) // _BLOCK_STEPS)
+        blocks, self._row = _next_blocks(self._row, count, self._giant_step, self._baby_steps())
+        self._cdf = np.concatenate([self._cdf, blocks.ravel()])
+
+    def _band_powers(self, steps: int):
+        """Yield Phat^m for m = 0..steps on its band, which each step overwrites.
+
+        Phat is upper bidiagonal, so Phat^m is zero off its diagonals 0..m:
+        row k of the band is diagonal k, padded with zeros past its end, and
+        step m touches diagonals 0..m+1 only.  That is about
+        steps n min(n, steps) / 2 products where dense steps take steps n^2.
+        Each entry is formed as a dense step forms it,
+        fl(fl(p hold) + fl(p' move)), so the powers do not depend on the layout.
+        """
+        n = len(self._hold)
+        width = min(steps, n - 1) + 1
+        pad = np.zeros(width - 1, dtype=self._dtype)
+        # hold[k, i] = hold_{i+k} and move[k, i] = move_{i+k}, 0 past the last level
+        hold = sliding_window_view(np.concatenate([self._hold, pad]), n)
+        move = sliding_window_view(np.concatenate([self._move, pad]), n)
+        band = np.zeros((width, n), dtype=self._dtype)  # band[k, i] = (Phat^m)(i, i + k)
+        band[0] = 1.0
+        carry = np.empty((width - 1, n), dtype=self._dtype)
+        yield band
+        for m in range(steps):
+            top = min(m + 1, width - 1)
+            np.multiply(band[:top], move[:top], out=carry[:top])
+            band[: top + 1] *= hold[: top + 1]
+            band[1 : top + 1] += carry[:top]
+            yield band
 
     def _giant_step(self) -> np.ndarray:
         """Phat^B, built on first use so that a single block never pays for it.
 
-        It is built one step at a time rather than by repeated squaring: with
-        a signed or complex spectrum the powers of Phat grow by orders of
-        magnitude before they decay, and squaring loses that many digits.
-        Phat is upper bidiagonal, so Phat^m is zero off its diagonals 0..m:
-        the steps run on a band whose row k is diagonal k, step m touches
-        diagonals 0..m+1 only, and the band is scattered once into the dense
-        n x n matrix.  That is about B n min(n, B) / 2 products where dense
-        steps take B n^2.  Each entry is formed as a dense step forms it,
-        fl(fl(p hold) + fl(p' move)), so F does not depend on the layout.
+        It is built one step at a time on the band rather than by repeated
+        squaring: with a signed or complex spectrum the powers of Phat grow by
+        orders of magnitude before they decay, and squaring loses that many
+        digits.
         """
         if self._giant is None:
-            n = len(self._hold)
-            width = min(_BLOCK_STEPS, n - 1) + 1
-            pad = np.zeros(width - 1, dtype=self._dtype)
-            # hold[k, i] = hold_{i+k} and move[k, i] = move_{i+k}, 0 past the last level
-            hold = sliding_window_view(np.concatenate([self._hold, pad]), n)
-            move = sliding_window_view(np.concatenate([self._move, pad]), n)
-            band = np.zeros((width, n), dtype=self._dtype)  # band[k, i] = (Phat^m)(i, i + k)
-            band[0] = 1.0
-            carry = np.empty((width - 1, n), dtype=self._dtype)
-            for m in range(_BLOCK_STEPS):
-                top = min(m + 1, width - 1)
-                np.multiply(band[:top], move[:top], out=carry[:top])
-                band[: top + 1] *= hold[: top + 1]
-                band[1 : top + 1] += carry[:top]
-            giant = np.zeros((n, n), dtype=self._dtype)
-            flat = giant.reshape(-1)
-            for k in range(width):
-                flat[k : (n - k) * (n + 1) : n + 1] = band[k, : n - k]
-            self._giant = giant
+            for band in self._band_powers(_BLOCK_STEPS):
+                pass
+            self._giant = _dense(band)
         return self._giant
 
     def _cdf_at(self, ts: np.ndarray) -> np.ndarray:
         """Cached F at integer steps, 0 at negative ones."""
         if ts.size:
             self._extend(max(int(ts.max()), 0))
+            if ts.min() >= 0:
+                return self._cdf[ts]
         return np.where(ts >= 0, self._cdf[np.maximum(ts, 0)], 0.0)
 
     def cdf(self, t):
@@ -331,11 +377,13 @@ class DiscreteAbsorptionLaw:
 
 
 class ContinuousAbsorptionLaw:
-    """Poisson mixture of a discrete law through a uniformization rate.
+    """Law of a CTMC hitting time through the dual in continuous time.
 
-    ``rates`` holds the exponential rates theta -> rate * (1 - theta) when the
-    spectrum is real (they are positive even for negative eigenvalues); the
-    law is then a hypoexponential or a mixture of hypoexponential prefixes.
+    F(t) = e0 exp(Ghat t) w, where Ghat = rate (Phat - I) is the generator of
+    the discrete law's dual at the uniformization rate.  ``rates`` holds the
+    exponential rates theta -> rate * (1 - theta) when the spectrum is real
+    (they are positive even for negative eigenvalues); the law is then a
+    hypoexponential or a mixture of hypoexponential prefixes.
     """
 
     def __init__(self, discrete: DiscreteAbsorptionLaw, rate: float):
@@ -358,43 +406,71 @@ class ContinuousAbsorptionLaw:
             self.kind = "mixture"
         else:
             self.kind = "numeric_cdf"
+        # block s, entry j: e0 E^s Phat^j w with E = exp(Ghat h), rate h = B / 4
+        self._blocks = np.empty((0, _BLOCK_STEPS), dtype=discrete._dtype)
+        self._giant = None
+        self._row = None
 
     def __repr__(self) -> str:
         return f"ContinuousAbsorptionLaw(kind={self.kind!r}, d={self.discrete.d})"
 
-    def cdf(self, t):
-        """P(T <= t) as a Poisson-weighted sum of discrete CDF values.
+    def _extend(self, s: int) -> None:
+        """Grow the block cache to cover block s, doubling its length.
 
-        Each time's Poisson series is cut where its own tail falls below
-        TOL_SERIES, so a time's value does not depend on the other times
-        requested with it.  The weights are formed for many times at once, in
-        chunks of about _CHUNK_ENTRIES.  A cut past MAX_HORIZON raises
-        ``HorizonExceeded`` before anything is allocated.
+        The doubling is capped at the blocks that MAX_HORIZON uniformization
+        steps need; ``cdf`` never asks for more.
         """
-        from scipy import special, stats
+        have = len(self._blocks)
+        if s < have:
+            return
+        want = max(s + 1, min(2 * have, int(MAX_HORIZON // _GIANT_MEAN) + 1))
+        baby = self.discrete._baby_steps()
+        blocks, self._row = _next_blocks(self._row, want - have, self._giant_step, baby)
+        self._blocks = np.concatenate([self._blocks, blocks])
 
+    def _giant_step(self) -> np.ndarray:
+        """E = exp(Ghat h) = sum over j < B of Poisson(j; B / 4) Phat^j, built on the band.
+
+        The Poisson mass past B - 1 steps is about 1.4e-19.  For a real
+        spectrum Ghat is a pure-birth generator, so E is stochastic whatever
+        the signs of theta.
+        """
+        if self._giant is None:
+            weights = _poisson_weights(np.array([_GIANT_MEAN]))[:, 0]
+            powers = self.discrete._band_powers(_BLOCK_STEPS - 1)
+            total = weights[0] * next(powers)
+            for weight, band in zip(weights[1:], powers):
+                total += weight * band
+            # the dual's top level is absorbing, so E keeps it exactly; the
+            # float sum of the weights may miss 1 by an ulp, and that loss
+            # would compound over the blocks
+            total[0, -1] = 1.0
+            self._giant = _dense(total)
+        return self._giant
+
+    def cdf(self, t):
+        """P(T <= t) for t >= 0 (scalar or array).
+
+        With rate t = s B / 4 + r and 0 <= r < B / 4, F(t) is cached block s
+        weighted by the Poisson(r) probabilities of 0..B-1 steps, so a time's
+        value does not depend on the other times requested with it.  A time
+        past MAX_HORIZON uniformization steps raises ``HorizonExceeded``
+        before anything is allocated.
+        """
         ts = np.atleast_1d(np.asarray(t, dtype=float))
-        if (ts < 0).any():
+        if not (ts >= 0).all():
             raise ValueError("times must be nonnegative")
         mus = self.rate * ts
-        cuts = stats.poisson.isf(TOL_SERIES, mus).astype(int)
-        k_max = int(cuts.max()) if ts.size else 0
-        if k_max > MAX_HORIZON:
+        if ts.size and mus.max() > MAX_HORIZON:
             raise HorizonExceeded(
-                f"Poisson series of {k_max} terms at t = {float(ts.max())!r} exceeds {MAX_HORIZON}"
+                f"Poisson series of {mus.max():.4g} uniformization steps at "
+                f"t = {float(ts.max())!r} exceeds {MAX_HORIZON}"
             )
-        f_disc = _real_probability(self.discrete._cdf_at(np.arange(k_max + 1)), "cdf")
-        log_fact = special.gammaln(np.arange(1, k_max + 2))
-        out = np.empty(len(ts))
-        step = max(1, _CHUNK_ENTRIES // (k_max + 1))
-        for lo in range(0, len(ts), step):
-            mu, cut = mus[lo : lo + step, None], cuts[lo : lo + step, None]
-            ks = np.arange(cut.max() + 1)
-            # the Poisson pmf as scipy.stats forms it, up to each row's own cut
-            pmf = np.exp(special.xlogy(ks, mu) - log_fact[: len(ks)] - mu)
-            pmf[ks > cut] = 0.0
-            tail = (1.0 - pmf.sum(axis=1)) * f_disc[cut[:, 0]]
-            out[lo : lo + step] = pmf @ f_disc[: len(ks)] + tail
+        ks = np.floor(mus / _GIANT_MEAN).astype(int)
+        if ts.size:
+            self._extend(int(ks.max()))
+        weights = _poisson_weights(mus - _GIANT_MEAN * ks)
+        out = _real_probability(np.einsum("ji,ij->i", weights, self._blocks[ks]), "cdf")
         return float(out[0]) if np.ndim(t) == 0 else out
 
     def laplace(self, s):
@@ -539,7 +615,7 @@ class Analysis:
     def absorption_law(self) -> DiscreteAbsorptionLaw | ContinuousAbsorptionLaw:
         """The hitting-time law of the target; see the module function ``absorption_law``.
 
-        A generator's law is the Poisson mixture of its uniformized kernel's.
+        A generator's law is its uniformized kernel's dual run in continuous time.
         """
         cls = self.chain_class
         if cls.skip_free_up and not cls.superdiag_positive:
@@ -628,13 +704,16 @@ def sst_law(kernel: TransitionKernel, m0=None) -> DiscreteAbsorptionLaw:
 
 
 def hypoexp_law(gen: RateGenerator, m0=None) -> ContinuousAbsorptionLaw:
-    """Exact absorption-time law of a CTMC via uniformization.
+    """Exact absorption-time law of a CTMC through its pure-birth dual.
 
-    A skip-free generator started at 0 with real spectrum yields the
-    hypoexponential with rates theta * (1 - theta_j); the general case is the
-    continuous mixture built from the uniformized chain's link.  The discrete
-    structure transfers exactly: the uniformized kernel's spectral polynomials
-    are polynomials in G, so link, weights and level structure agree with the
+    The generator G is uniformized at a rate theta, and the uniformized
+    kernel's spectrum and link give the dual generator
+    Ghat = theta (Phat - I); the law is F(t) = e0 exp(Ghat t) w.  A skip-free
+    generator started at 0 with real spectrum yields the hypoexponential with
+    rates theta * (1 - theta_j); the general case is the continuous mixture
+    built from the uniformized chain's link.  The discrete structure
+    transfers exactly: the uniformized kernel's spectral polynomials are
+    polynomials in G, so link, weights and level structure agree with the
     continuous-time intertwining.  Raises ``ValidationError`` on a transition
     kernel, and otherwise as ``absorption_law`` does.
     """

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import REALNESS_TOL, TOL_EIG, TOL_NONNEG, TOL_ROW
-from .errors import EigenFailure
+from .errors import EigenFailure, NumericalBreakdown
 from .chains import ChainClass, TransitionKernel, classify_kernel
 
 __all__ = [
@@ -170,6 +170,10 @@ def eigenvalues(kernel: TransitionKernel, chain_class: ChainClass | None = None)
         the symmetric routes of a connected block the largest eigenvalue is
         the unit one, and it must lie within TOL_EIG of 1; the general route
         needs exactly one eigenvalue in that window.
+        With an absorbing target, a transient eigenvalue within 1e-13 of 1
+        when the target is unreachable from some state.
+    NumericalBreakdown
+        Such an eigenvalue although the target is reachable from every state.
 
     Notes
     -----
@@ -204,6 +208,11 @@ def eigenvalues(kernel: TransitionKernel, chain_class: ChainClass | None = None)
 
     if cls.target_absorbing:
         if np.any(np.abs(vals - 1.0) < 1e-13):
+            if cls.target_accessible:
+                raise NumericalBreakdown(
+                    "transient block has an eigenvalue within 1e-13 of 1 although the target "
+                    "is reachable: the slowest mode is below double precision"
+                )
             raise EigenFailure("transient block has a unit eigenvalue; target unreachable")
     else:
         near_unit = np.nonzero(np.abs(vals - 1.0) <= TOL_EIG)[0]

@@ -4,7 +4,9 @@ The library evaluates F(t) = e0 Phat^t w and m0 P^t a block of B steps at a
 time.  The references below advance one step at a time, as the library did
 before blocking, so any change in the values comes from the order of the
 floating-point sums only.  The giant step Phat^B, built on its band, is
-checked bit for bit against the dense n x n steps it replaced.
+checked bit for bit against the dense n x n steps it replaced.  Continuous
+laws, evaluated by the giant step exp(Ghat h), are checked against closed
+forms and against scipy's ``expm`` of the primal generator.
 """
 
 from __future__ import annotations
@@ -34,13 +36,14 @@ from ssdual import laws
 from ssdual.config import _BLOCK_STEPS as B
 from ssdual.config import CDF_TAIL, MAX_HORIZON
 from ssdual.families import (
+    random_birth_death_generator,
     random_birth_death_kernel,
     random_ergodic_birth_death,
     random_initial_law,
     random_skipfree_generator,
 )
 
-from conftest import BD3_MATRIX, ERG3_MATRIX, stiff_birth_death_generator
+from conftest import BD3_MATRIX, CT21_MATRIX, ERG3_MATRIX, stiff_birth_death_generator
 
 #: block edges, and None for the law's 0.999 quantile
 HORIZONS = (0, B - 1, B, B + 1, 3 * B + 7, None)
@@ -328,6 +331,99 @@ def test_continuous_chunks_match_scalar_calls():
     assert law.cdf(np.array([])).shape == (0,)
 
 
+#: uniformization steps in one continuous giant step
+MU_H = B / 4
+
+
+def _bounded_skipfree_generator(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Skip-free rate matrix whose drops stay small, so the target is reached in
+    a few hundred time units even at n = 25 (``random_skipfree_generator``'s
+    drops grow with the level, and its slowest mode rounds to zero there)."""
+    gen = np.zeros((n, n))
+    for i in range(n - 1):
+        gen[i, i + 1] = rng.uniform(0.5, 2.0)
+        if i > 0:
+            gen[i, :i] = rng.random(i) * rng.uniform(0.05, 0.3) / i
+        gen[i, i] = -gen[i].sum()
+    return gen
+
+
+CONTINUOUS_CHAINS = {
+    "bd_gen_40": lambda: (random_birth_death_generator(np.random.default_rng(0), 40), None),
+    "skipfree_gen_6": lambda: (random_skipfree_generator(np.random.default_rng(4), 6),
+                               random_initial_law(np.random.default_rng(4), 6)),
+    "skipfree_gen_25": lambda: (_bounded_skipfree_generator(np.random.default_rng(5), 25),
+                                random_initial_law(np.random.default_rng(5), 25)),
+}
+
+
+def _edge_time(rate: float, k: int) -> float:
+    """A time t with rate * t == j * MU_H exactly in floating point, for the
+    first block edge j >= k where one exists."""
+    for j in range(k, k + 16):
+        t = j * MU_H / rate
+        for t in (np.nextafter(t, 0.0), t, np.nextafter(t, np.inf)):
+            if rate * t == j * MU_H:
+                return float(t)
+    raise AssertionError(f"no exact block edge from {k} at rate {rate!r}")
+
+
+def _probe_times(law) -> np.ndarray:
+    """0, block edges 1, 3 and 17 with 1e-9 (relative) on either side, and a deep-tail time."""
+    ts = [0.0]
+    for k in (1, 3, 17):
+        t = _edge_time(law.rate, k)
+        ts += [t * (1.0 - 1e-9), t, t * (1.0 + 1e-9)]
+    ts.append(law.quantile(1.0 - 1e-10))
+    return np.array(ts)
+
+
+def test_continuous_giant_step_poisson_tail():
+    from scipy import stats
+
+    # the giant step sums Poisson(MU_H) weights over 0..B-1 steps only
+    assert stats.poisson.sf(B - 1, MU_H) < 1e-16
+    mus = np.array([0.0, 1e-9, 0.5, 7.25, MU_H - 1e-9, MU_H])
+    weights = laws._poisson_weights(mus)
+    assert weights.shape == (B, len(mus))
+    # scipy forms the pmf as exp(j log mu - mu - log j!), good to ~1e-14 relative
+    np.testing.assert_allclose(weights, stats.poisson.pmf(np.arange(B)[:, None], mus),
+                               rtol=1e-13, atol=0.0)
+
+
+def test_continuous_ct21_closed_form():
+    law = hypoexp_law(RateGenerator(np.array(CT21_MATRIX)))
+    ts = _probe_times(law)
+    exact = 1.0 - 2.0 * np.exp(-ts) + np.exp(-2.0 * ts)
+    assert np.abs(law.cdf(ts) - exact).max() <= 1e-12
+    assert law.cdf(0.0) == 0.0
+
+
+@pytest.mark.parametrize("name", sorted(CONTINUOUS_CHAINS))
+def test_continuous_cdf_matches_expm(name):
+    from scipy.linalg import expm
+
+    gen, m0 = CONTINUOUS_CHAINS[name]()
+    law = hypoexp_law(RateGenerator(gen), m0)
+    start = np.eye(len(gen))[0] if m0 is None else m0
+    ts = _probe_times(law)
+    oracle = np.array([start @ expm(gen * t)[:, -1] for t in ts])
+    assert np.abs(law.cdf(ts) - oracle).max() <= 1e-12
+    assert oracle[-1] >= 1.0 - 1e-9
+    # the deep-tail time lies past the last block edge probed
+    assert len(law._blocks) > 17
+
+
+def test_continuous_giant_step_keeps_the_absorbed_mass():
+    gen, _ = CONTINUOUS_CHAINS["bd_gen_40"]()
+    law = hypoexp_law(RateGenerator(gen))
+    law.cdf(1.0)
+    giant = law._giant_step()
+    assert giant[-1, -1] == 1.0
+    assert np.abs(giant.sum(axis=1) - 1.0).max() <= 1e-14
+    assert giant.min() >= 0.0
+
+
 def _loaded_by_import(module: str) -> bool:
     """Whether a fresh ``import ssdual`` loads ``module``."""
     src = Path(__file__).resolve().parents[1] / "src"
@@ -393,3 +489,19 @@ def test_validate_loads_no_scipy(tmp_path):
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(src)}, check=True)
     assert json.loads(out.stdout) == [0, False]
+
+
+def test_continuous_absorption_loads_no_scipy_stats(tmp_path):
+    (tmp_path / "ct21.json").write_text(
+        json.dumps({"mode": "continuous", "matrix": CT21_MATRIX}), encoding="utf-8")
+    code = (
+        "import contextlib, io, json, sys\n"
+        "from ssdual.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = main(['absorption', 'ct21.json'])\n"
+        "print(json.dumps([code, [m for m in ('scipy.stats', 'scipy.special') if m in sys.modules]]))\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+    assert json.loads(out.stdout) == [0, []]

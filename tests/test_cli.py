@@ -19,6 +19,7 @@ import pytest
 
 from ssdual import hypoexp_law
 from ssdual.config import _TRACE_BLOCK
+from ssdual.families import random_skipfree_kernel
 
 from conftest import (
     BD3_MATRIX,
@@ -217,6 +218,13 @@ class TestAbsorption:
                                               mode="continuous"))
         assert r.returncode == 3
         assert "Poisson series" in r.stderr and "Traceback" not in r.stderr
+
+    def test_numerical_breakdown_exits_6(self, chain_file):
+        # target reachable, slowest mode within 1e-13 of the unit eigenvalue
+        m = random_skipfree_kernel(np.random.default_rng(0), 60)
+        r = run_cli("absorption", chain_file(m))
+        assert r.returncode == 6
+        assert "below double precision" in r.stderr and "Traceback" not in r.stderr
 
 
 class TestSst:

@@ -12,7 +12,9 @@ from hypothesis import strategies as st
 
 from ssdual import (
     EigenFailure,
+    NumericalBreakdown,
     TransitionKernel,
+    absorption_law,
     classify_kernel,
     eigenvalues,
     polynomial_residuals,
@@ -150,6 +152,17 @@ class TestEigenvalues:
     def test_unit_eigenvalue_in_transient_block_fails(self):
         with pytest.raises(EigenFailure):
             eigenvalues(TransitionKernel(np.eye(2)))
+
+    @pytest.mark.parametrize("n", [60, 70])
+    def test_reachable_target_with_unit_rounded_mode_breaks_down(self, n):
+        # the slowest mode has 1 - theta below 1e-13 although every state
+        # reaches the target: a numerical breakdown, not an unreachable target
+        kernel = TransitionKernel(random_skipfree_kernel(np.random.default_rng(0), n))
+        assert classify_kernel(kernel).target_accessible
+        with pytest.raises(NumericalBreakdown, match="reachable"):
+            eigenvalues(kernel)
+        with pytest.raises(NumericalBreakdown):
+            absorption_law(kernel)
 
     def test_two_ergodic_components_fail(self):
         mat = np.array([
