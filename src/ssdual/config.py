@@ -42,12 +42,23 @@ CDF_TAIL = 1e-9
 MAX_HORIZON = 10**6
 
 #: Time steps evaluated together by the discrete CDF and the separation scan
-#: (baby steps P^0..P^{B-1}, giant step P^B).  The dual's giant step is built
-#: on its band of B + 1 diagonals, about B n min(n, B) / 2 products for n
-#: levels.  A continuous CDF's giant step spans B / 4 uniformization steps,
-#: the Poisson(B / 4) mixture of the same baby steps.  Affects speed and
-#: rounding only.
+#: (baby steps P^0..P^{B-1}, giant step S = P^B).  The dual's giant step is
+#: built on its band of B + 1 diagonals, about B n min(n, B) / 2 products for
+#: n levels.  A continuous CDF's giant step spans B / 4 uniformization steps,
+#: the Poisson(B / 4) mixture of the same baby steps.  The block rows r S^s
+#: are grown by doubling from the powers S, S^2, S^4, ... (see
+#: ``duality._BlockRows``).  Affects speed and rounding only.
 _BLOCK_STEPS = 64
+
+#: Multiply-adds of one block product.  The separation scan takes fewer than
+#: _BLOCK_STEPS steps per block on chains with n^2 B above it, and the block
+#: rows double only up to K rows per product, with K a power of two and
+#: K n max(n, c) within it (n x n giant step, c values per block, so the
+#: K x n rows times S^K or times the baby steps).  Past K they grow K rows
+#: per product, so squaring stops at S^K: on 200 levels K = 4, where
+#: uncapped doubling would square 200 x 200 matrices.  Affects speed, memory
+#: and rounding only.
+_BLOCK_WORK = 2**18
 
 #: Coupled traces that ``verify`` simulates together from one Philox stream.
 #: Changing it changes seeded reports; the job count never does.

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import _BLOCK_STEPS, CDF_TAIL, MAX_HORIZON, TOL_NONNEG, tol_alg
+from .config import _BLOCK_WORK, _BLOCK_STEPS, CDF_TAIL, MAX_HORIZON, TOL_NONNEG, tol_alg
 from .errors import HorizonExceeded, NotErgodic
 from .chains import TransitionKernel, as_initial, classify_kernel, stationary_law
 from .spectral import SpectrumReport
@@ -46,10 +46,6 @@ __all__ = [
     "check_monotone_reversal",
     "separation",
 ]
-
-#: entries of the baby-step matrix, and of one chunk of laws, formed at once;
-#: large chains take fewer than _BLOCK_STEPS steps per block to stay within it
-_SEP_ENTRIES = 2**18
 
 
 @dataclass(frozen=True, slots=True)
@@ -355,6 +351,69 @@ def check_monotone_reversal(kernel: TransitionKernel, pi: np.ndarray) -> Monoton
     return MonotoneReport(monotone=witness is None, witness=witness, reversal=rev)
 
 
+class _BlockRows:
+    """Blocks r S^s R, s = 0, 1, ..., of a start row r, a square step S and baby steps R.
+
+    Row s = r S^s is row s - K times S^K, with K the largest power of two
+    <= s, capped at K_max: the largest power of two with
+    K_max n max(n, c) <= _BLOCK_WORK for an n x n step and c columns of R,
+    so that no product takes more multiply-adds.
+    The rows with one K form a span [lo, lo + K), lo = s - s % K, whose rows
+    are one product of the K rows before it with S^K, and whose blocks are
+    one product with R; a request of b blocks costs about log2(b) + b / K_max
+    products.  A block is always formed by its span's products, so its bits
+    depend on s alone: growing in steps gives the blocks of one request.
+
+    ``blocks`` takes ``step``, a function that gives S, and calls it when row
+    1 is first needed; S^2, S^4, ... are squared from it and kept in
+    ``powers``.  (The step is not stored: a law's step is its own method,
+    and a law holding it would be a reference cycle that outlives the law.)
+    Rows are kept back to the last span that the doubling still reads, so
+    blocks are asked for in rising order.
+    """
+
+    def __init__(self, first: np.ndarray, baby: np.ndarray):
+        n, c = baby.shape
+        self.baby = baby
+        self.powers: list[np.ndarray] = []
+        self._cap = 1 << max(0, (_BLOCK_WORK // (n * max(n, c))).bit_length() - 1)
+        self._rows = first[None, :]  # rows _base .. _base + len - 1
+        self._base = 0
+
+    def span(self, s: int) -> tuple[int, int]:
+        """The span [lo, hi) of rows formed together with row s."""
+        k = min(1 << max(0, s.bit_length() - 1), self._cap)
+        lo = s - s % k
+        return lo, lo + k
+
+    def _span_rows(self, lo: int, hi: int, step) -> np.ndarray:
+        if lo < self._base:
+            raise ValueError("block rows are formed in rising order")
+        top = self._base + len(self._rows)
+        while top < hi:
+            k = self.span(top)[1] - top
+            i = k.bit_length() - 1
+            while len(self.powers) <= i:  # powers[i] = S^(2^i)
+                self.powers.append(self.powers[-1] @ self.powers[-1] if self.powers else step())
+            new = self._rows[top - k - self._base : top - self._base] @ self.powers[i]
+            if k == self._cap:  # every later span reads this one only
+                self._rows, self._base = new, top
+            else:
+                self._rows = np.concatenate([self._rows, new])
+            top += k
+        return self._rows[lo - self._base : hi - self._base]
+
+    def blocks(self, lo: int, hi: int, step) -> np.ndarray:
+        """Blocks lo..hi-1 as the rows of a (hi - lo) x c array; S = step()."""
+        parts = []
+        s = lo
+        while s < hi:
+            a, b = self.span(s)
+            parts.append((self._span_rows(a, b, step) @ self.baby)[s - a : min(b, hi) - a])
+            s = b
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
 def separation(kernel: TransitionKernel, m0=None, t_max: int | None = None) -> SeparationProfile:
     """Separation from stationarity along time.
 
@@ -364,10 +423,13 @@ def separation(kernel: TransitionKernel, m0=None, t_max: int | None = None) -> S
     target at every step, ties counted in the target's favor.
 
     The laws m0 P^t are formed a block of B steps at a time: with the baby
-    steps [I, P, ..., P^{B-1}] formed once, block s is m0 P^{sB} times them,
-    and the giant step P^B carries m0 P^{sB} to the next block.  Without
-    ``t_max`` the blocks are formed in chunks that double from one block, and
-    the profile is cut at the first step below CDF_TAIL.  The values agree
+    steps [I, P, ..., P^{B-1}] formed once, block s is the row m0 P^{sB}
+    times them.  The rows grow by doubling (``_BlockRows``): row s is row
+    s - K times P^{KB}, K the largest power of two <= s up to a cap set by
+    the chain's size, so the blocks come in spans of 1, 1, 2, 4, ... up to K
+    blocks, each span one product.  The scan reads whole spans and cuts the
+    profile at ``t_max``, or without it at the first step below CDF_TAIL, so
+    a scan cut at t and a scan to t give the same bits.  The values agree
     with a step-by-step scan to rounding, not bit for bit.
     """
     if not classify_kernel(kernel).ergodic:
@@ -379,26 +441,19 @@ def _separation(kernel: TransitionKernel, pi: np.ndarray, vec: np.ndarray,
                 t_max: int | None) -> SeparationProfile:
     """``separation`` of an ergodic kernel with stationary law ``pi``, from the law ``vec``."""
     n, d = kernel.n, kernel.d
-    block = max(1, min(_BLOCK_STEPS, _SEP_ENTRIES // (n * n)))
+    block = max(1, min(_BLOCK_STEPS, _BLOCK_WORK // (n * n)))
     powers = [np.eye(n)]
     for _ in range(block):
         powers.append(powers[-1] @ kernel.matrix)
-    baby = np.hstack(powers[:-1])
-    giant = powers[-1]
+    rows = _BlockRows(vec, np.hstack(powers[:-1]))
 
     last = MAX_HORIZON if t_max is None else t_max
-    widest = max(1, _SEP_ENTRIES // (block * n))
-    chunk = 1 if t_max is None else widest
     s_parts, arg_parts = [], []
-    done, row = 0, vec
+    done = 0
     while done <= last:
-        # rows[i] = m0 P^{(b + i) B}, b the blocks done so far
-        rows = np.empty((min(chunk, -(-(last + 1 - done) // block)), n))
-        rows[0] = row
-        for i in range(1, len(rows)):
-            rows[i] = rows[i - 1] @ giant
-        row = rows[-1] @ giant
-        ratios = (rows @ baby).reshape(-1, n)[: last + 1 - done] / pi
+        # the laws m0 P^t of one span of blocks, t = done, done + 1, ...
+        lo, hi = rows.span(done // block)
+        ratios = rows.blocks(lo, hi, lambda: powers[-1]).reshape(-1, n)[: last + 1 - done] / pi
         m = ratios.min(axis=1)
         tie = m + 1e-12 * (1.0 + np.abs(m))
         s_part = 1.0 - m
@@ -412,7 +467,6 @@ def _separation(kernel: TransitionKernel, pi: np.ndarray, vec: np.ndarray,
         done += len(s_part)
         if t_max is None and s_part[-1] < CDF_TAIL:
             break
-        chunk = min(2 * chunk, widest)
     s = np.concatenate(s_parts)
     if t_max is None and s[-1] >= CDF_TAIL:
         raise HorizonExceeded(f"separation did not fall below {CDF_TAIL} within {last} steps")

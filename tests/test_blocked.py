@@ -41,6 +41,7 @@ from ssdual.families import (
     random_ergodic_birth_death,
     random_initial_law,
     random_skipfree_generator,
+    random_skipfree_kernel,
 )
 
 from conftest import BD3_MATRIX, CT21_MATRIX, ERG3_MATRIX, stiff_birth_death_generator
@@ -195,6 +196,38 @@ def test_band_giant_step_matches_dense_steps(name):
     banded._extend(20_000)
     dense._extend(20_000)
     assert banded._cdf.tobytes() == dense._cdf.tobytes()
+
+
+def test_growth_past_the_power_cap_gives_same_cache():
+    # on 200 levels the block rows double only up to 4 rows per product
+    law = absorption_law(GIANT_CHAINS["lazy_birth_death_200"]())
+    step = DiscreteAbsorptionLaw(law.thetas, law.level_weights)
+    for t in (5, 10**4, 20_000):
+        step.cdf(t)
+    q = step.quantile(0.999)
+    lo, hi = step._rows.span(len(step._cdf) // B - 1)
+    assert hi - lo == 4 and len(step._cdf) // B > 16
+    once = DiscreteAbsorptionLaw(law.thetas, law.level_weights)
+    once.cdf(np.arange(len(step._cdf)))
+    np.testing.assert_array_equal(step._cdf, once._cdf[: len(step._cdf)])
+    assert once.quantile(0.999) == q
+
+
+LONG_CHAINS = {
+    "signed_birth_death_200": lambda: random_birth_death_kernel(np.random.default_rng(0), 200),
+    "complex_skipfree_20": lambda: random_skipfree_kernel(np.random.default_rng(0), 20),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LONG_CHAINS))
+def test_long_horizon_matches_stepwise_and_oracle(name):
+    # 313 blocks, their rows from squares of the giant step: up to S^128 on 20 levels, S^4 on 200
+    kernel = TransitionKernel(LONG_CHAINS[name]())
+    law = absorption_law(kernel)
+    assert np.iscomplexobj(law.thetas) == (name == "complex_skipfree_20")
+    blocked = law.cdf(np.arange(20_001))
+    assert np.abs(blocked - stepwise_cdf(law, 20_000)).max() <= 1e-12
+    assert np.abs(blocked - power_cdf_oracle(kernel, None, 20_000)).max() <= 1e-10
 
 
 def test_single_block_builds_no_giant_step():
@@ -412,6 +445,20 @@ def test_continuous_cdf_matches_expm(name):
     assert oracle[-1] >= 1.0 - 1e-9
     # the deep-tail time lies past the last block edge probed
     assert len(law._blocks) > 17
+
+
+@pytest.mark.parametrize("name", sorted(CONTINUOUS_CHAINS))
+def test_continuous_growth_in_steps_gives_same_blocks(name):
+    gen, m0 = CONTINUOUS_CHAINS[name]()
+    law = hypoexp_law(RateGenerator(gen), m0)
+    # 600 blocks: past the power cap of 512, 128 and 64 rows on 6, 25 and 40 levels
+    ts = np.linspace(0.0, 600 * MU_H / law.rate, 40)
+    for t in ts:
+        law.cdf(t)
+    once = hypoexp_law(RateGenerator(gen), m0)
+    once.cdf(ts)
+    assert len(law._blocks) >= len(once._blocks) > 600
+    np.testing.assert_array_equal(law._blocks[: len(once._blocks)], once._blocks)
 
 
 def test_continuous_giant_step_keeps_the_absorbed_mass():

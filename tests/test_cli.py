@@ -19,7 +19,7 @@ import pytest
 
 from ssdual import hypoexp_law
 from ssdual.config import _TRACE_BLOCK
-from ssdual.families import random_skipfree_kernel
+from ssdual.families import random_initial_law, random_skipfree_kernel
 
 from conftest import (
     BD3_MATRIX,
@@ -225,6 +225,14 @@ class TestAbsorption:
         r = run_cli("absorption", chain_file(m))
         assert r.returncode == 6
         assert "below double precision" in r.stderr and "Traceback" not in r.stderr
+
+    def test_link_that_misses_one_exits_6(self, chain_file):
+        # the float64 link's target column ends 2.7e-9 from 1
+        m = random_skipfree_kernel(np.random.default_rng(1), 25)
+        m0 = random_initial_law(np.random.default_rng(1), 25)
+        r = run_cli("absorption", chain_file(m, initial=m0.tolist()))
+        assert r.returncode == 6
+        assert "does not reach 1" in r.stderr and "Traceback" not in r.stderr
 
 
 class TestSst:

@@ -12,6 +12,7 @@ from ssdual import (
     ImaginaryResidue,
     MonotoneHypothesisFails,
     NotErgodic,
+    NumericalBreakdown,
     PoleAtU,
     PreconditionError,
     RateGenerator,
@@ -31,6 +32,8 @@ from ssdual import (
 )
 from ssdual.families import (
     random_birth_death_generator,
+    random_birth_death_kernel,
+    random_initial_law,
     random_skipfree_generator,
     random_skipfree_kernel,
     random_upper_triangular_kernel,
@@ -123,6 +126,18 @@ class TestDiscreteAbsorptionLaw:
     def test_level_weights_must_reach_one(self):
         with pytest.raises(PreconditionError):
             DiscreteAbsorptionLaw(np.array([0.5]), np.array([0.2, 0.8]))
+
+    @pytest.mark.parametrize("family, seed, n", [
+        (random_birth_death_kernel, 0, 30),  # residual 4.5e-5
+        (random_skipfree_kernel, 1, 25),  # 2.7e-9
+        (random_skipfree_kernel, 1, 30),  # 4.3e-8
+    ])
+    def test_link_that_misses_one_breaks_down(self, family, seed, n):
+        # a float64 link whose target column misses 1 is a numerical
+        # breakdown, not a precondition of the chain
+        kernel = TransitionKernel(family(np.random.default_rng(seed), n))
+        with pytest.raises(NumericalBreakdown, match="does not reach 1"):
+            absorption_law(kernel, random_initial_law(np.random.default_rng(1), n))
 
 
 class TestPgf:
