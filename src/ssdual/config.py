@@ -61,7 +61,10 @@ _BLOCK_STEPS = 64
 _BLOCK_WORK = 2**18
 
 #: Coupled traces that ``verify`` simulates together from one Philox stream.
-#: Changing it changes seeded reports; the job count never does.
+#: A block advances jump to jump: each pass of its loop moves every trace to
+#: the next change of its (dual level, primal state) pair, after a geometric
+#: hold in discrete time.  Changing it changes seeded reports; the job count
+#: never does.
 _TRACE_BLOCK = 4096
 
 #: Gates of ``verify``, fixed here and reported by the CLI as ``thresholds``.

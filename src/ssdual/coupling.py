@@ -10,11 +10,18 @@ the climb-or-jump structure of the modified dual (general case).
 and the law under test is read off the same stages.  It infers the mode, or
 rejects one that does not fit the chain, rather than test another law than
 the one asked for; its gates are fixed in ``config``.  It simulates its
-traces in lockstep blocks of ``config._TRACE_BLOCK``; each block draws from
-its own counter-based Philox stream, keyed (seed, block index), so results
-are reproducible for any partition of blocks across workers; the process
-pool is imported only when there is more than one worker.  The scalar
-``simulate_*`` functions are one-trace references.
+traces in lockstep blocks of ``config._TRACE_BLOCK``, jump to jump: every
+pass of the block's loop moves each trace to the next change of its pair
+(dual level, primal state).  In discrete time the pair's hold is one
+geometric draw and its exit a two-stage draw (``_Discrete``), so a chain
+that mostly holds costs its jumps, not its steps; in continuous time the
+primal's and the dual's clocks race.  Seeded discrete reports therefore
+differ from those of the earlier step-by-step simulation, which drew one
+primal move per step; continuous ones do not.  Each block draws from its
+own counter-based Philox stream, keyed (seed, block index), so results are
+reproducible for any partition of blocks across workers; the process pool
+is imported only when there is more than one worker.  The scalar
+``simulate_*`` functions are one-trace, step-by-step references.
 
 The harness counts each block into arrays and applies the gates: exact-law
 KS on absorption times, chi-square on the per-step conditional laws,
@@ -332,31 +339,45 @@ class _Counts:
             self.segments.setdefault(key, []).extend(durs)
 
 
-def _jump_table(rows: np.ndarray) -> np.ndarray:
-    """Cumulative rows of a nonnegative matrix, last column +inf, for ``_pick_rows``."""
+def _jump_table(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of a nonnegative matrix as cumulative laws for ``_pick_rows``, and their masses.
+
+    Each row is divided by its own last cumulative sum, so the column of its
+    last positive entry holds exactly 1; the last column is +inf.
+    """
     cum = np.cumsum(rows, axis=1)
+    totals = cum[:, -1].copy()
+    cum /= np.where(totals > 0, totals, 1.0)[:, None]
     cum[:, -1] = np.inf
-    return cum
+    return cum, totals
 
 
 def _pick_rows(table: np.ndarray, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """``_pick(cum[x_i], u_i)`` for every i: the count of cum[x_i] <= u_i, capped at d.
+    """For every i, the first column of row x_i of a ``_jump_table`` above u_i.
 
-    Cumulative sums of nonnegative entries never decrease, so that count is
-    the first column above u_i, and the +inf last column caps it.
+    Cumulative sums of nonnegative entries never decrease, so that column is
+    the count of entries <= u_i, and the +inf last column caps it.
     """
     return (table.take(x, axis=0) > u[:, None]).argmax(axis=1)
 
 
 class _Lockstep:
-    """Coupled traces of one chain, simulated a block of traces at a time.
+    """Coupled traces of one chain, simulated a block of traces at a time, jump to jump.
 
     A block keeps the primal and dual states and the elapsed time of its
     active traces, and the time each trace's dual left each level; a trace
-    retires when it stops.  Subclasses give ``step(rng, x, x_hat) -> (x,
-    x_hat, elapsed)`` for all active traces at once, and ``start`` when the
-    chains do not both start at 0.  Tables over pairs (x_hat, x) are flat,
-    indexed x_hat * n + x.
+    retires when it stops.  Subclasses give ``step(rng, x, x_hat, code) ->
+    (x, x_hat, elapsed)``, the next change of the pair (x_hat, x) of every
+    active trace and the time until it, and ``start`` when the chains do not
+    both start at 0.  One loop serves every coupling: each pass moves every
+    active trace by one jump, a geometric hold in discrete time and the
+    exponential race in continuous time.  The horizon bounds steps in
+    discrete time, where a trace whose next jump lands past it is a horizon
+    hit, and events in continuous time.  The conditional cells count, for
+    each step 1..t_cap, the pair a completed trace held then: each hold that
+    starts by ``t_cap`` is kept as (trace, entry step, exit step, pair) and
+    added once per block through a difference array over the steps.  Tables
+    over pairs (x_hat, x) are flat, indexed x_hat * n + x.
     """
 
     #: count climb segments only for traces whose dual absorbs
@@ -370,11 +391,13 @@ class _Lockstep:
         #: dual levels below this are transient; segments are recorded for them
         self.levels = levels
         self.samples, self.seed, self.horizon, self.t_cap = samples, seed, horizon, t_cap
+        #: a trace stops after this many jumps, or past this time, as a horizon hit
+        self.max_events, self.max_time = horizon, math.inf
         xh, x = np.divmod(np.arange(n * n), n)
         self.flags = (np.where(link_rows.ravel() <= 0.0, _POSITIVITY, 0)
                       | np.where(dominated & (x > xh), _DOMINATION, 0)).astype(np.uint8)
-        #: states that end a trace: primal absorption, or (continuous time) a
-        #: state no clock ever leaves, which counts as a horizon hit
+        #: pairs that end a trace: primal absorption, or a pair that is never
+        #: left, which counts as a horizon hit
         self.stop = x == self.d
 
     def start(self, rng: np.random.Generator, size: int):
@@ -398,32 +421,34 @@ class _Lockstep:
         now = np.zeros(size)
         flags = np.zeros(size, dtype=np.uint8)
         left = np.full((size, levels), np.nan)  # when the dual left each level
-        cell = np.full((t_cap, size), -1, dtype=np.int32)  # flat index into counts.cells
+        holds = []  # (trace, entry step, exit step, pair) of holds entered by t_cap
         t_end = np.full(size, np.inf)  # primal absorption time; inf for a horizon hit
         xh_end = np.zeros(size, dtype=np.int64)
-        t = 0
+        events = 0
         while True:
             code = xh * n + x
             flag = self.flags[code]
             if np.count_nonzero(flag):
                 flags[idx] |= flag
-            if 0 < t <= t_cap:
-                cell[t - 1, idx] = t * n * n + code
-            out = self.stop[code]
+            late = now > self.max_time
+            out = self.stop[code] | late
             if np.count_nonzero(out):
-                done = x == d
+                done = (x == d) & ~late
                 t_end[idx[done]], xh_end[idx[done]] = now[done], xh[done]
                 keep = ~out
-                idx, x, xh, now = idx[keep], x[keep], xh[keep], now[keep]
-            if not idx.size or t == self.horizon:
+                idx, x, xh, now, code = idx[keep], x[keep], xh[keep], now[keep], code[keep]
+            if not idx.size or events == self.max_events:
                 break
-            t += 1
-            y, nxt, dt = self.step(rng, x, xh)
-            now = now + dt
+            events += 1
+            y, nxt, dt = self.step(rng, x, xh, code)
+            then = now + dt
+            if t_cap:
+                early = now <= t_cap
+                holds.append((idx[early], now[early], then[early], code[early]))
             climbed = (nxt != xh) & (xh < levels)
             if np.count_nonzero(climbed):
-                left[idx[climbed], xh[climbed]] = now[climbed]
-            x, xh = y, nxt
+                left[idx[climbed], xh[climbed]] = then[climbed]
+            x, xh, now = y, nxt, then
 
         completed = t_end < np.inf
         counts.horizon_hits += size - int(completed.sum())
@@ -444,9 +469,17 @@ class _Lockstep:
         counts.times.append(t_end[completed])
         counts.largest += np.bincount(largest[completed] + 1, minlength=n + 1)
         if counts.cells is not None:
-            cell = cell[:, completed]
-            counts.cells += np.bincount(cell[cell >= 0], minlength=counts.cells.size
-                                        ).reshape(counts.cells.shape)
+            # the absorbing pair is held for the step of absorption
+            fin = np.flatnonzero(completed & (t_end <= t_cap))
+            holds.append((fin, t_end[fin], t_end[fin] + 1.0, xh_end[fin] * n + d))
+            trace, enter, leave, code = map(np.concatenate, zip(*holds))
+            keep = completed[trace]
+            enter, leave, code = enter[keep], np.minimum(leave[keep], t_cap + 1), code[keep]
+            # +1 from the entry step on, -1 from the exit step on; step 0 is not a cell
+            span = (t_cap + 2) * n * n
+            diff = (np.bincount(enter.astype(np.intp) * (n * n) + code, minlength=span)
+                    - np.bincount(leave.astype(np.intp) * (n * n) + code, minlength=span))
+            counts.cells[1:] += diff.reshape(t_cap + 2, n, n).cumsum(axis=0)[1:-1]
         segs = completed & absorbed if self.absorbed_segments_only else completed
         for big in np.unique(largest[segs]):
             for level, durs in enumerate(dur[segs & (largest == big)].T):
@@ -454,13 +487,71 @@ class _Lockstep:
                     counts.segments.setdefault((int(big), level), []).append(durs)
 
 
-class _SkipFree(_Lockstep):
-    """Primal from 0; the dual climbs with its posterior odds (Fill's coupling)."""
+class _Discrete(_Lockstep):
+    """A discrete-time coupling, simulated jump to jump on the pair chain (x_hat, x).
+
+    One step of a coupling moves the primal by its kernel P, then the dual
+    given the primal's new state.  The pair stays at c = (x_hat, x) when the
+    primal holds and the dual does not move, so it leaves c with probability
+    leave(c) = sum_{y != x} P(x, y) + P(x, x) p_move(c), a sum of
+    nonnegative terms, never 1 minus the hold; its holding time is
+    geometric(leave(c)) steps.  The exit is drawn in two stages: with
+    probability P(x, x) p_move(c) / leave(c) the primal holds and the dual
+    moves; otherwise the primal moves to y, drawn from row x of P without
+    its diagonal, and the dual moves by the subclass's law at (x_hat, y).
+    Every table is over pairs.  A pair that is never left ends its trace as
+    a horizon hit, as does a jump that lands past the horizon.  A pair from
+    which the primal reaches a y where the dual's move is undefined is
+    refused when a trace enters it.
+    """
+
+    def __init__(self, kernel: TransitionKernel, link_rows: np.ndarray, levels: int,
+                 dominated: bool, p_move: np.ndarray, undefined: np.ndarray, **run):
+        super().__init__(link_rows, levels, dominated, **run)
+        self.max_events, self.max_time = math.inf, self.horizon
+        mat = self.matrix = kernel.matrix
+        #: [x_hat, y] where the dual's move after the primal lands on y is undefined
+        self.undefined = undefined
+        hold = np.diag(mat)
+        off = mat.copy()
+        np.fill_diagonal(off, 0.0)
+        self.exit, off_mass = _jump_table(off)
+        alone = np.where(hold > 0.0, hold * p_move, 0.0)  # the primal holds, the dual moves
+        leave = off_mass + alone
+        # refused: the primal can land on a y where the dual's move is undefined
+        leave[undefined.astype(float) @ (mat > 0.0).T > 0.0] = np.nan
+        with np.errstate(divide="ignore", invalid="ignore"):
+            self.alone = np.where(leave > 0.0, alone / leave, 0.0).ravel()
+        self.leave = np.minimum(leave, 1.0).ravel()
+        self.stop |= self.leave == 0.0
+
+    def _jump(self, rng, x, xh, code):
+        """The primal's next state, whether it held, a uniform for the dual, and the hold."""
+        leave = self.leave[code]
+        bad = np.isnan(leave)
+        if np.count_nonzero(bad):
+            i = bad.argmax()
+            level, state = int(xh[i]), int(x[i])
+            y = np.flatnonzero((self.matrix[state] > 0.0) & self.undefined[level])[0]
+            self._refuse(level, int(y))
+        dt = rng.geometric(leave)
+        u = rng.random((3, x.size))
+        alone = u[0] < self.alone[code]
+        return np.where(alone, x, _pick_rows(self.exit, x, u[1])), alone, u[2], dt
+
+
+class _SkipFree(_Discrete):
+    """Primal from 0; the dual climbs with its posterior odds (Fill's coupling).
+
+    Simulated jump to jump: at (x_hat, x) the dual moves alone with
+    probability p_move = promote(x_hat, x) when the primal holds, and after
+    the primal moves to y it climbs with promote(x_hat, y), which is 1 at
+    y = x_hat + 1.  The geometric holds replace the steps at which neither
+    moves.
+    """
 
     def __init__(self, kernel: TransitionKernel, link: LinkMatrix, dual: DualKernel, **run):
-        super().__init__(link.rows, kernel.d, True, **run)
-        n, d = self.n, self.d
-        self.cum = _jump_table(kernel.matrix)
+        n, d = kernel.n, kernel.d
         self.thetas = dual.thetas.real
         # promotion_probability of every (x_hat, y) by the same arithmetic,
         # NaN where it raises; no climb from d
@@ -471,42 +562,49 @@ class _SkipFree(_Lockstep):
             p = up / den
         p = np.where((den > 0.0) & (p >= -1e-9) & (p <= 1.0 + 1e-9), np.clip(p, 0.0, 1.0), np.nan)
         p[np.arange(d), np.arange(1, n)] = 1.0
-        self.promote = np.vstack([p, np.zeros(n)]).ravel()
+        promote = np.vstack([p, np.zeros(n)])
+        self.promote = promote.ravel()
+        super().__init__(kernel, link.rows, d, True, promote, np.isnan(promote), **run)
 
-    def step(self, rng, x, xh):
-        u = rng.random((2, x.size))
-        y = _pick_rows(self.cum, x, u[0])
-        p = self.promote[xh * self.n + y]
-        bad = np.isnan(p)
-        if np.count_nonzero(bad):
-            i = bad.argmax()
-            promotion_probability(self.thetas, self.link_rows, int(xh[i]), int(y[i]))  # raises
-        return y, xh + (u[1] < p), 1
+    def _refuse(self, xh, y):
+        promotion_probability(self.thetas, self.link_rows, xh, y)  # raises
+
+    def step(self, rng, x, xh, code):
+        y, alone, u, dt = self._jump(rng, x, xh, code)
+        return y, xh + (alone | (u < self.promote[xh * self.n + y])), dt
 
 
-class _General(_Lockstep):
+class _General(_Discrete):
     """Primal from m0; the modified dual stays, climbs or jumps to the target.
 
-    The move is drawn over {x_bar, x_bar + 1, d} with weights
-    Pbar(x_bar, c) Lambda_bar(c, y); a climb that would land on d is the jump.
+    After the primal lands on y the move is drawn over {x_bar, x_bar + 1, d}
+    with weights Pbar(x_bar, c) Lambda_bar(c, y); a climb that would land on
+    d is the jump.  Simulated jump to jump, p_move at (x_bar, x) is the
+    climb and jump weight over the total at y = x, and when the primal
+    holds at the end of a hold the move is drawn from climb and jump alone.
     """
 
     def __init__(self, kernel: TransitionKernel, modified: ModifiedDual, **run):
         lam = modified.link.rows
-        super().__init__(lam, modified.absorbing_start, False, **run)
-        n, d = self.n, self.d
+        n, d = kernel.n, kernel.d
         pbar = modified.kernel
-        self.cum = _jump_table(kernel.matrix)
         self.start_cum = np.cumsum(lam[0])
         self.start_absorbed = modified.initial[d]
         stay = np.diag(pbar)[:, None] * lam
         climb, jump = np.zeros((2, n, n))
         climb[: d - 1] = np.diag(pbar, 1)[: d - 1, None] * lam[1:d]
         jump[:d] = pbar[:d, d][:, None] * lam[d]
-        total = stay + climb + jump
-        self.stay = stay.ravel()
-        self.upto = (stay + climb).ravel()
-        self.total = np.where(total > 0.0, total, np.nan).ravel()
+        upto = stay + climb
+        total = upto + jump
+        move = climb + jump
+        # the first n * n entries draw the move after the primal moved, the
+        # rest after it held: from {climb, jump} alone
+        self.stay = np.concatenate([stay.ravel(), np.zeros(n * n)])
+        self.upto = np.concatenate([upto.ravel(), climb.ravel()])
+        self.total = np.concatenate([total.ravel(), move.ravel()])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            p_move = move / total
+        super().__init__(kernel, lam, modified.absorbing_start, False, p_move, total <= 0.0, **run)
 
     def start(self, rng, size):
         u = rng.random((2, size))
@@ -514,19 +612,15 @@ class _General(_Lockstep):
         x = np.minimum(np.searchsorted(self.start_cum, u[1], side="right"), self.d)
         return np.where(absorbed, self.d, x), np.where(absorbed, self.d, 0)
 
-    def step(self, rng, x, xh):
-        u = rng.random((2, x.size))
-        y = _pick_rows(self.cum, x, u[0])
-        code = xh * self.n + y
-        v = u[1] * self.total[code]
-        bad = np.isnan(v)
-        if np.count_nonzero(bad):
-            i = bad.argmax()
-            raise NotStochasticLink(
-                f"no admissible dual move from x_bar={xh[i]} given primal state {y[i]}"
-            )
+    def _refuse(self, xh, y):
+        raise NotStochasticLink(f"no admissible dual move from x_bar={xh} given primal state {y}")
+
+    def step(self, rng, x, xh, code):
+        y, alone, u, dt = self._jump(rng, x, xh, code)
+        code = xh * self.n + y + alone * (self.n * self.n)
+        v = u * self.total[code]
         nxt = np.where(v < self.stay[code], xh, np.where(v < self.upto[code], xh + 1, self.d))
-        return y, nxt, 1
+        return y, nxt, dt
 
 
 class _Continuous(_Lockstep):
@@ -539,10 +633,7 @@ class _Continuous(_Lockstep):
         n, d, lam = self.n, self.d, link.rows
         off = np.clip(gen.matrix, 0.0, None)
         np.fill_diagonal(off, 0.0)
-        cum = np.cumsum(off, axis=1)
-        totals = cum[:, -1].copy()
-        self.cum = cum / np.where(totals > 0, totals, 1.0)[:, None]
-        self.cum[:, -1] = np.inf  # see _pick_rows
+        self.cum, totals = _jump_table(off)
         # mean waiting times: the primal's by x, the dual's by (x_hat, x),
         # inf for a clock that never rings, NaN where the link has no mass
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -552,8 +643,8 @@ class _Continuous(_Lockstep):
         self.dual_scale = np.vstack([scale, np.full(n, np.inf)]).ravel()
         self.stop |= np.isinf(np.tile(self.primal_scale, n)) & np.isinf(self.dual_scale)
 
-    def step(self, rng, x, xh):
-        dual_scale = self.dual_scale[xh * self.n + x]
+    def step(self, rng, x, xh, code):
+        dual_scale = self.dual_scale[code]
         bad = np.isnan(dual_scale)
         if np.count_nonzero(bad):
             i = bad.argmax()

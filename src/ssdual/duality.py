@@ -454,10 +454,14 @@ def _separation(kernel: TransitionKernel, pi: np.ndarray, vec: np.ndarray,
         # the laws m0 P^t of one span of blocks, t = done, done + 1, ...
         lo, hi = rows.span(done // block)
         ratios = rows.blocks(lo, hi, lambda: powers[-1]).reshape(-1, n)[: last + 1 - done] / pi
-        m = ratios.min(axis=1)
+        # the minimum of each row and its first position, by vector passes
+        # down the n columns of the transpose: on small chains these beat
+        # per-row reductions of n entries; the minimum is exact either way
+        by_state = np.ascontiguousarray(ratios.T)
+        m = by_state.min(axis=0)
         tie = m + 1e-12 * (1.0 + np.abs(m))
         s_part = 1.0 - m
-        arg_part = np.where(ratios[:, d] <= tie, d, ratios.argmin(axis=1))
+        arg_part = np.where(by_state[d] <= tie, d, (by_state == m).argmax(axis=0))
         if t_max is None:
             below = np.flatnonzero(s_part < CDF_TAIL)
             stop = below[0] + 1 if len(below) else len(s_part)

@@ -202,6 +202,20 @@ class TestVerify:
         assert inferred.mode == mode
         assert inferred.to_dict() == verify(chain, mode=mode, samples=2000, seed=12, m0=m0).to_dict()
 
+    @pytest.mark.parametrize("name, mode, gates", [("bd3", "skipfree", 3),
+                                                   ("gen3", "general", 4),
+                                                   ("lazy5", "skipfree", 3)])
+    def test_gate_rejections_are_nominal(self, request, name, mode, gates):
+        # each gate family rejects a true law with probability at most alpha
+        # (Bonferroni), so 200 seeded verifies of 200 traces reject about
+        # alpha * gates of the time at most
+        chain = TransitionKernel(LAZY5) if name == "lazy5" else request.getfixturevalue(name)
+        seeds = range(200)
+        rejected = sum(not verify(chain, mode=mode, samples=200, seed=seed).passed
+                       for seed in seeds)
+        alpha = _VERIFY_GATES["significance"]
+        assert stats.binom.sf(rejected - 1, len(seeds), alpha * gates) > 1e-4
+
     def test_report_serializes_without_times(self, bd3):
         rep = verify(bd3, mode="skipfree", samples=2000, seed=5)
         d = rep.to_dict()
@@ -246,6 +260,19 @@ def _reference(chain, mode, samples, seed, m0=None):
     return np.array(times, dtype=float), cells, np.array(largest)
 
 
+def _exact_law_pvalue(times: np.ndarray, law, mode: str) -> float:
+    """Kolmogorov-Smirnov p-value of absorption times against their exact law.
+
+    A discrete law is compared at every whole step, where the asymptotic
+    Kolmogorov p-value is conservative.
+    """
+    if mode == "continuous":
+        return float(stats.kstest(times, law.cdf).pvalue)
+    ecdf = np.cumsum(np.bincount(times.astype(np.int64))) / len(times)
+    dev = np.abs(ecdf - law.cdf(np.arange(len(ecdf)))).max()
+    return float(stats.kstwobign.sf(dev * np.sqrt(len(times))))
+
+
 def _homogeneity_pvalue(a: np.ndarray, b: np.ndarray) -> float:
     """Chi-square p-value that two count vectors share one law (sparse bins dropped)."""
     table = np.vstack([a.ravel(), b.ravel()])
@@ -253,9 +280,17 @@ def _homogeneity_pvalue(a: np.ndarray, b: np.ndarray) -> float:
 
 
 LAZY5 = random_birth_death_kernel(np.random.default_rng(1), 5, lazy=True)
+# LAZY5 slowed down until every transient state holds with probability >= 0.98
+# (mean 541 steps): almost every step of a trace is a hold
+_EPS = 0.02 / (1.0 - np.diag(LAZY5)[:-1].min())
+SLOW5 = (1.0 - _EPS) * np.eye(5) + _EPS * LAZY5
+START5 = random_initial_law(np.random.default_rng(5), 5)
 # a general-mode start that is at the target with probability 0.32, else random
 _rng = np.random.default_rng(0)
 SKIPFREE4, START4 = random_skipfree_kernel(_rng, 4), random_initial_law(_rng, 4)
+#: chains and starts of the lockstep comparisons that are not fixtures
+CASES = {"lazy5": (LAZY5, None), "skipfree4": (SKIPFREE4, START4),
+         "slow5": (SLOW5, None), "slow5_start": (SLOW5, START5)}
 
 
 class TestLockstepAgainstReference:
@@ -263,16 +298,20 @@ class TestLockstepAgainstReference:
 
     @pytest.mark.parametrize("name, mode", [("bd3", "skipfree"), ("gen3", "general"),
                                             ("ct21", "continuous"), ("lazy5", "skipfree"),
-                                            ("skipfree4", "general")])
+                                            ("skipfree4", "general"), ("slow5", "skipfree"),
+                                            ("slow5_start", "general")])
     def test_same_laws(self, request, name, mode):
-        m0 = START4 if name == "skipfree4" else None
-        chain = {"lazy5": LAZY5, "skipfree4": SKIPFREE4}.get(name)
+        chain, m0 = CASES.get(name, (None, None))
         chain = request.getfixturevalue(name) if chain is None else TransitionKernel(chain)
-        ref_times, ref_cells, ref_l = _reference(chain, mode, 3000, seed=21, m0=m0)
+        # a slow trace takes about 540 steps of the scalar loop; the exact-law
+        # check below carries the power there
+        ref_samples = 400 if name.startswith("slow5") else 3000
+        ref_times, ref_cells, ref_l = _reference(chain, mode, ref_samples, seed=21, m0=m0)
         counts = _lockstep(chain, mode, 2 * _TRACE_BLOCK, seed=22, m0=m0)
         assert counts.horizon_hits == 0
         times = np.concatenate(counts.times)
         assert stats.ks_2samp(ref_times, times).pvalue > 1e-3
+        assert _exact_law_pvalue(times, Analysis(chain, m0).absorption_law(), mode) > 1e-3
         if mode != "continuous":
             assert _homogeneity_pvalue(ref_cells[1:], counts.cells[1:T_CELLS + 1]) > 1e-3
         if mode == "general":
@@ -308,6 +347,29 @@ class TestLockstepAgainstReference:
             ct = _lockstep(ct21, "continuous", 2000, seed=3, horizon=events)
             assert ct.horizon_hits == hits
             assert sum(map(len, ct.times)) == 2000 - hits
+
+    def test_a_jump_past_the_horizon_is_a_hit(self):
+        # SLOW5 holds for about 50 steps at a time, so a trace still running
+        # at the horizon is mostly in a hold that crosses it
+        samples, horizon = 5000, 300
+        counts = _lockstep(TransitionKernel(SLOW5), "skipfree", samples, seed=3, horizon=horizon)
+        times = np.concatenate(counts.times)
+        assert counts.horizon_hits + len(times) == samples
+        assert times.max() <= horizon
+        assert np.array_equal(counts.cells.sum(axis=(1, 2))[1:],
+                              [(times >= t).sum() for t in range(1, counts.cells.shape[0])])
+        tail = 1.0 - absorption_law(TransitionKernel(SLOW5)).cdf(horizon)
+        assert abs(counts.horizon_hits / samples - tail) < 5 * np.sqrt(tail * (1 - tail) / samples)
+
+    def test_a_pair_never_left_is_a_hit(self, bd3):
+        # state 0 absorbs the primal; the dual climbs alone from (0, 0) to
+        # (d, 0), which neither chain leaves
+        spec, link, dual = _skipfree_parts(bd3)
+        stuck = TransitionKernel(np.array([[1.0, 0.0, 0.0], [0.25, 0.5, 0.25], [0.0, 0.0, 1.0]]))
+        sim = coupling._SkipFree(stuck, link, dual, samples=500, seed=0,
+                                 horizon=MAX_HORIZON, t_cap=64)
+        counts = sim.count(0, 1)
+        assert counts.horizon_hits == 500 and not counts.times[0].size
 
     @pytest.mark.parametrize("mode", ["skipfree", "general", "continuous"])
     def test_zero_link_mass_raises_in_blocks(self, bd3, gen3, ct21, mode):
