@@ -42,16 +42,20 @@ CDF_TAIL = 1e-9
 MAX_HORIZON = 10**6
 
 #: Time steps evaluated together by the discrete CDF and the separation scan
-#: (baby steps P^0..P^{B-1}, giant step S = P^B).  The dual's giant step is
-#: built on its band of B + 1 diagonals, about B n min(n, B) / 2 products for
-#: n levels.  A continuous CDF's giant step spans B / 4 uniformization steps,
-#: the Poisson(B / 4) mixture of the same baby steps.  The block rows r S^s
-#: are grown by doubling from the powers S, S^2, S^4, ... (see
-#: ``duality._BlockRows``).  Affects speed and rounding only.
+#: (baby steps P^0..P^{B-1}, giant step S = P^B); a power of two.  On a dual
+#: with at most B levels, and in every separation scan, the baby steps and S
+#: come by doubling, in log2 B products and squarings
+#: (``duality._power_ladder``); on a larger dual S is built on its band of
+#: B + 1 diagonals, about B n min(n, B) / 2 products for n levels.  A
+#: continuous CDF's giant step spans B / 4 uniformization steps, the
+#: Poisson(B / 4) mixture of the same powers.  The block rows r S^s are grown
+#: by doubling from the powers S, S^2, S^4, ... (see ``duality._BlockRows``).
+#: Affects speed and rounding only.
 _BLOCK_STEPS = 64
 
 #: Multiply-adds of one block product.  The separation scan takes fewer than
-#: _BLOCK_STEPS steps per block on chains with n^2 B above it, and the block
+#: _BLOCK_STEPS steps per block on chains with n^2 B above it (the largest
+#: power of two within it, so that its ladder doubles to it), and the block
 #: rows double only up to K rows per product, with K a power of two and
 #: K n max(n, c) within it (n x n giant step, c values per block, so the
 #: K x n rows times S^K or times the baby steps).  Past K they grow K rows

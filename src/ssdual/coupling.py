@@ -17,7 +17,8 @@ geometric draw and its exit a two-stage draw (``_Discrete``), so a chain
 that mostly holds costs its jumps, not its steps; in continuous time the
 primal's and the dual's clocks race.  Seeded discrete reports therefore
 differ from those of the earlier step-by-step simulation, which drew one
-primal move per step; continuous ones do not.  Each block draws from its
+primal move per step, and from those that drew the holds with numpy's
+``geometric``; continuous ones do not.  Each block draws from its
 own counter-based Philox stream, keyed (seed, block index), so results are
 reproducible for any partition of blocks across workers; the process pool
 is imported only when there is more than one worker.  The scalar
@@ -487,6 +488,16 @@ class _Lockstep:
                     counts.segments.setdefault((int(big), level), []).append(durs)
 
 
+def _geometric(u: np.ndarray, log_stay: np.ndarray) -> np.ndarray:
+    """Geometric holds on {1, 2, ...} with stay probabilities exp(log_stay), by inversion.
+
+    The hold exceeds k with probability stay^k, and 1 - u is uniform on
+    (0, 1], so the hold is 1 + floor(log(1 - u) / log_stay); a stay of 0
+    (log_stay -inf) gives exactly 1.
+    """
+    return 1.0 + np.floor(np.log1p(-u) / log_stay)
+
+
 class _Discrete(_Lockstep):
     """A discrete-time coupling, simulated jump to jump on the pair chain (x_hat, x).
 
@@ -494,11 +505,14 @@ class _Discrete(_Lockstep):
     given the primal's new state.  The pair stays at c = (x_hat, x) when the
     primal holds and the dual does not move, so it leaves c with probability
     leave(c) = sum_{y != x} P(x, y) + P(x, x) p_move(c), a sum of
-    nonnegative terms, never 1 minus the hold; its holding time is
-    geometric(leave(c)) steps.  The exit is drawn in two stages: with
-    probability P(x, x) p_move(c) / leave(c) the primal holds and the dual
-    moves; otherwise the primal moves to y, drawn from row x of P without
-    its diagonal, and the dual moves by the subclass's law at (x_hat, y).
+    nonnegative terms, never 1 minus the hold.  Its holding time is
+    geometric, drawn by inversion (``_geometric``) against the log of the
+    stay P(x, x) p_stay(c), with p_stay the dual's stay weight over its
+    total; neither factor is formed by a subtraction.  The exit is drawn in
+    two stages: with probability P(x, x) p_move(c) / leave(c) the primal
+    holds and the dual moves; otherwise the primal moves to y, drawn from
+    row x of P without its diagonal, and the dual moves by the subclass's
+    law at (x_hat, y).
     Every table is over pairs.  A pair that is never left ends its trace as
     a horizon hit, as does a jump that lands past the horizon.  A pair from
     which the primal reaches a y where the dual's move is undefined is
@@ -506,7 +520,8 @@ class _Discrete(_Lockstep):
     """
 
     def __init__(self, kernel: TransitionKernel, link_rows: np.ndarray, levels: int,
-                 dominated: bool, p_move: np.ndarray, undefined: np.ndarray, **run):
+                 dominated: bool, p_move: np.ndarray, p_stay: np.ndarray,
+                 undefined: np.ndarray, **run):
         super().__init__(link_rows, levels, dominated, **run)
         self.max_events, self.max_time = math.inf, self.horizon
         mat = self.matrix = kernel.matrix
@@ -522,20 +537,25 @@ class _Discrete(_Lockstep):
         leave[undefined.astype(float) @ (mat > 0.0).T > 0.0] = np.nan
         with np.errstate(divide="ignore", invalid="ignore"):
             self.alone = np.where(leave > 0.0, alone / leave, 0.0).ravel()
-        self.leave = np.minimum(leave, 1.0).ravel()
-        self.stop |= self.leave == 0.0
+            log_stay = np.where(hold > 0.0, np.log(hold) + np.log(p_stay), -np.inf)
+        # a pair always left holds exactly one step; a stay that rounds to 1
+        # while the pair can be left takes log(1 - leave), about -leave
+        log_stay = np.where(leave >= 1.0, -np.inf, np.where(log_stay < 0.0, log_stay, -leave))
+        log_stay[np.isnan(leave)] = np.nan
+        self.log_stay = log_stay.ravel()
+        self.stop |= (leave == 0.0).ravel()
 
     def _jump(self, rng, x, xh, code):
         """The primal's next state, whether it held, a uniform for the dual, and the hold."""
-        leave = self.leave[code]
-        bad = np.isnan(leave)
+        log_stay = self.log_stay[code]
+        bad = np.isnan(log_stay)
         if np.count_nonzero(bad):
             i = bad.argmax()
             level, state = int(xh[i]), int(x[i])
             y = np.flatnonzero((self.matrix[state] > 0.0) & self.undefined[level])[0]
             self._refuse(level, int(y))
-        dt = rng.geometric(leave)
-        u = rng.random((3, x.size))
+        u = rng.random((4, x.size))
+        dt = _geometric(u[3], log_stay)
         alone = u[0] < self.alone[code]
         return np.where(alone, x, _pick_rows(self.exit, x, u[1])), alone, u[2], dt
 
@@ -557,14 +577,19 @@ class _SkipFree(_Discrete):
         # NaN where it raises; no climb from d
         theta = self.thetas[:d, None]
         up = (1.0 - theta) * link.rows[1:]
-        den = up + theta * link.rows[:-1]
+        down = theta * link.rows[:-1]
+        den = up + down
         with np.errstate(divide="ignore", invalid="ignore"):
-            p = up / den
-        p = np.where((den > 0.0) & (p >= -1e-9) & (p <= 1.0 + 1e-9), np.clip(p, 0.0, 1.0), np.nan)
+            p, stay = up / den, down / den
+        ok = (den > 0.0) & (p >= -1e-9) & (p <= 1.0 + 1e-9)
+        p = np.where(ok, np.clip(p, 0.0, 1.0), np.nan)
+        stay = np.where(ok, np.clip(stay, 0.0, 1.0), np.nan)
         p[np.arange(d), np.arange(1, n)] = 1.0
+        stay[np.arange(d), np.arange(1, n)] = 0.0
         promote = np.vstack([p, np.zeros(n)])
         self.promote = promote.ravel()
-        super().__init__(kernel, link.rows, d, True, promote, np.isnan(promote), **run)
+        super().__init__(kernel, link.rows, d, True, promote, np.vstack([stay, np.ones(n)]),
+                         np.isnan(promote), **run)
 
     def _refuse(self, xh, y):
         promotion_probability(self.thetas, self.link_rows, xh, y)  # raises
@@ -603,8 +628,9 @@ class _General(_Discrete):
         self.upto = np.concatenate([upto.ravel(), climb.ravel()])
         self.total = np.concatenate([total.ravel(), move.ravel()])
         with np.errstate(divide="ignore", invalid="ignore"):
-            p_move = move / total
-        super().__init__(kernel, lam, modified.absorbing_start, False, p_move, total <= 0.0, **run)
+            p_move, p_stay = move / total, stay / total
+        super().__init__(kernel, lam, modified.absorbing_start, False, p_move, p_stay,
+                         total <= 0.0, **run)
 
     def start(self, rng, size):
         u = rng.random((2, size))

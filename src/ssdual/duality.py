@@ -414,6 +414,20 @@ class _BlockRows:
         return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
+def _power_ladder(step: np.ndarray, cols: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """[C, X C, ..., X^{count-1} C] side by side, and X^count, for count a power of two.
+
+    By doubling: from the first m blocks and X^m, the next m blocks are X^m
+    times them and X^{2m} = X^m X^m.  That is log2(count) products and as
+    many squarings, where stepping takes count products of X, one per call.
+    """
+    out, power = cols, step
+    while out.shape[1] < count * cols.shape[1]:
+        out = np.hstack([out, power @ out])
+        power = power @ power
+    return out, power
+
+
 def separation(kernel: TransitionKernel, m0=None, t_max: int | None = None) -> SeparationProfile:
     """Separation from stationarity along time.
 
@@ -423,15 +437,19 @@ def separation(kernel: TransitionKernel, m0=None, t_max: int | None = None) -> S
     target at every step, ties counted in the target's favor.
 
     The laws m0 P^t are formed a block of B steps at a time: with the baby
-    steps [I, P, ..., P^{B-1}] formed once, block s is the row m0 P^{sB}
+    steps [I, P, ..., P^{B-1}] and P^B formed once by doubling
+    (``_power_ladder``, so B is a power of two), block s is the row m0 P^{sB}
     times them.  The rows grow by doubling (``_BlockRows``): row s is row
     s - K times P^{KB}, K the largest power of two <= s up to a cap set by
     the chain's size, so the blocks come in spans of 1, 1, 2, 4, ... up to K
     blocks, each span one product.  The scan reads whole spans and cuts the
     profile at ``t_max``, or without it at the first step below CDF_TAIL, so
     a scan cut at t and a scan to t give the same bits.  The values agree
-    with a step-by-step scan to rounding, not bit for bit.
+    with a step-by-step scan to rounding, not bit for bit.  A negative
+    ``t_max`` raises ``ValueError``.
     """
+    if t_max is not None and t_max < 0:
+        raise ValueError("t_max must be nonnegative")
     if not classify_kernel(kernel).ergodic:
         raise NotErgodic("separation requires an ergodic kernel")
     return _separation(kernel, stationary_law(kernel), as_initial(m0, kernel.n), t_max)
@@ -441,11 +459,9 @@ def _separation(kernel: TransitionKernel, pi: np.ndarray, vec: np.ndarray,
                 t_max: int | None) -> SeparationProfile:
     """``separation`` of an ergodic kernel with stationary law ``pi``, from the law ``vec``."""
     n, d = kernel.n, kernel.d
-    block = max(1, min(_BLOCK_STEPS, _BLOCK_WORK // (n * n)))
-    powers = [np.eye(n)]
-    for _ in range(block):
-        powers.append(powers[-1] @ kernel.matrix)
-    rows = _BlockRows(vec, np.hstack(powers[:-1]))
+    block = 1 << (max(1, min(_BLOCK_STEPS, _BLOCK_WORK // (n * n))).bit_length() - 1)
+    baby, giant = _power_ladder(kernel.matrix, np.eye(n), block)
+    rows = _BlockRows(vec, baby)
 
     last = MAX_HORIZON if t_max is None else t_max
     s_parts, arg_parts = [], []
@@ -453,7 +469,7 @@ def _separation(kernel: TransitionKernel, pi: np.ndarray, vec: np.ndarray,
     while done <= last:
         # the laws m0 P^t of one span of blocks, t = done, done + 1, ...
         lo, hi = rows.span(done // block)
-        ratios = rows.blocks(lo, hi, lambda: powers[-1]).reshape(-1, n)[: last + 1 - done] / pi
+        ratios = rows.blocks(lo, hi, lambda: giant).reshape(-1, n)[: last + 1 - done] / pi
         # the minimum of each row and its first position, by vector passes
         # down the n columns of the transpose: on small chains these beat
         # per-row reductions of n entries; the minimum is exact either way

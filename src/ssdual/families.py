@@ -89,7 +89,15 @@ def random_ergodic_birth_death(rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 def random_skipfree_generator(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Absorbing skip-free rate matrix with strictly positive upward rates."""
+    """Absorbing skip-free rate matrix with strictly positive upward rates.
+
+    The drops out of level i sum to about i U(0.1, 1) / 2 against one upward
+    rate U(0.3, 2), so the hitting time of the top grows geometrically with
+    n.  From about n = 25 the slowest mode rounds to the unit eigenvalue,
+    and ``hypoexp_law`` raises ``NumericalBreakdown`` (seeds 0-3, started
+    from ``random_initial_law`` of the same seed).  For larger continuous
+    chains, bound the drops.
+    """
     gen = np.zeros((n, n))
     for i in range(n - 1):
         gen[i, i + 1] = rng.uniform(0.3, 2.0)

@@ -188,3 +188,14 @@ def test_generator_class_is_its_uniformized_kernels_class():
             mat[-1, -2], mat[-1, -1] = 1.0, -1.0
         gen = RateGenerator(mat)
         assert classify_generator(gen) == classify_kernel(uniformize(gen)[0])
+
+
+def test_separation_rejects_a_negative_horizon(erg3, separation_calls):
+    # before any scan, and also once a full scan is kept that a cut would read
+    analysis = Analysis(erg3)
+    with pytest.raises(ValueError, match="t_max must be nonnegative"):
+        analysis.separation(-1)
+    analysis.separation()
+    with pytest.raises(ValueError, match="t_max must be nonnegative"):
+        analysis.separation(-1)
+    assert separation_calls == [None]

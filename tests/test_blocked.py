@@ -3,8 +3,11 @@
 The library evaluates F(t) = e0 Phat^t w and m0 P^t a block of B steps at a
 time.  The references below advance one step at a time, as the library did
 before blocking, so any change in the values comes from the order of the
-floating-point sums only.  The giant step Phat^B, built on its band, is
-checked bit for bit against the dense n x n steps it replaced.  Continuous
+floating-point sums only.  Above B levels the giant step Phat^B, built on
+its band, is checked bit for bit against the dense n x n steps it replaced;
+up to B levels it comes from the power ladder (doubling), checked against
+the same steps to a tolerance, as is the continuous giant step against the
+band's Poisson sum.  Continuous
 laws, evaluated by the giant step exp(Ghat h), are checked against closed
 forms and against scipy's ``expm`` of the primal generator.
 """
@@ -42,6 +45,7 @@ from ssdual.families import (
     random_initial_law,
     random_skipfree_generator,
     random_skipfree_kernel,
+    random_upper_triangular_kernel,
 )
 
 from conftest import BD3_MATRIX, CT21_MATRIX, ERG3_MATRIX, stiff_birth_death_generator
@@ -177,7 +181,8 @@ class TestDiscreteBlocks:
 
 
 GIANT_CHAINS = {
-    **{name: LAW_CHAINS[name] for name in ("signed_birth_death", "complex_skipfree")},
+    # duals with more than B levels, whose giant step is built on the band
+    "complex_skipfree": LAW_CHAINS["complex_skipfree"],
     # n = B + 1: the band is the whole upper triangle; n = B + 2: the first narrower band
     "signed_birth_death_B+1": lambda: _kernel(random_birth_death_kernel(np.random.default_rng(0), B + 1)),
     "complex_skipfree_B+2": lambda: _kernel(bounded_drop_skipfree(np.random.default_rng(0), B + 2)),
@@ -188,6 +193,7 @@ GIANT_CHAINS = {
 @pytest.mark.parametrize("name", sorted(GIANT_CHAINS))
 def test_band_giant_step_matches_dense_steps(name):
     law = absorption_law(GIANT_CHAINS[name]())
+    assert not law._laddered
     banded = DiscreteAbsorptionLaw(law.thetas, law.level_weights)
     dense = DiscreteAbsorptionLaw(law.thetas, law.level_weights)
     dense._giant = dense_giant_step(dense)
@@ -196,6 +202,35 @@ def test_band_giant_step_matches_dense_steps(name):
     banded._extend(20_000)
     dense._extend(20_000)
     assert banded._cdf.tobytes() == dense._cdf.tobytes()
+
+
+LADDER_FAMILIES = {
+    # e_d weights from state 0: a signed spectrum in stable pairs
+    "signed_birth_death": lambda n: (random_birth_death_kernel(np.random.default_rng(0), n), None),
+    # the link's target column from a spread start, the canonical order
+    "link_upper_triangular": lambda n: (random_upper_triangular_kernel(np.random.default_rng(0), n),
+                                        random_initial_law(np.random.default_rng(1), n)),
+    "complex_skipfree": lambda n: (bounded_drop_skipfree(np.random.default_rng(0), n), None),
+    "lazy_birth_death": lambda n: (random_birth_death_kernel(np.random.default_rng(0), n, lazy=True), None),
+}
+
+
+@pytest.mark.parametrize("n", [2, 3, B - 1, B])
+@pytest.mark.parametrize("family", sorted(LADDER_FAMILIES))
+def test_ladder_giant_step_and_cdf_match_steps(family, n):
+    # up to B levels the baby and giant steps come by doubling, so they agree
+    # with B dense steps to rounding rather than bit for bit
+    mat, m0 = LADDER_FAMILIES[family](n)
+    law = absorption_law(TransitionKernel(mat), m0)
+    assert law._laddered
+    if n >= B - 1:
+        assert np.iscomplexobj(law.thetas) == (family == "complex_skipfree")
+        if family == "signed_birth_death":
+            assert law.thetas.min() < 0.0
+        assert law.level_weights[:-1].any() == (family == "link_upper_triangular")
+    dense = dense_giant_step(law)
+    assert np.abs(law._giant_step() - dense).max() <= 1e-13 * np.abs(dense).max()
+    assert np.abs(law.cdf(np.arange(20_001)) - stepwise_cdf(law, 20_000)).max() <= 1e-12
 
 
 def test_growth_past_the_power_cap_gives_same_cache():
@@ -331,6 +366,23 @@ class TestSeparationBlocks:
         np.testing.assert_array_equal(prof.argmin_state, args)
 
 
+@pytest.mark.parametrize("n", [60, 100])
+def test_separation_on_wider_chains(n):
+    # blocks of 64 steps on 60 states, of 16 on 100 (a power of two <= 2^18 / n^2)
+    kernel = TransitionKernel(random_ergodic_birth_death(np.random.default_rng(0), n))
+    m0 = random_initial_law(np.random.default_rng(1), n)
+    for t_max in (3 * B + 7, 2000):
+        prof = separation(kernel, m0, t_max=t_max)
+        s, args = stepwise_separation(kernel, m0, t_max)
+        assert np.abs(prof.s - s).max() <= 1e-12
+        np.testing.assert_array_equal(prof.argmin_state, args)
+
+
+def test_separation_rejects_a_negative_horizon():
+    with pytest.raises(ValueError, match="t_max must be nonnegative"):
+        separation(TransitionKernel(np.array(ERG3_MATRIX)), t_max=-1)
+
+
 def test_separation_ties_favour_target():
     # started at stationarity every ratio is 1: the target wins each tie
     kernel = TransitionKernel(np.array(ERG3_MATRIX))
@@ -459,6 +511,35 @@ def test_continuous_growth_in_steps_gives_same_blocks(name):
     once.cdf(ts)
     assert len(law._blocks) >= len(once._blocks) > 600
     np.testing.assert_array_equal(law._blocks[: len(once._blocks)], once._blocks)
+
+
+def _band_poisson_sum(law) -> np.ndarray:
+    """E as the sum of Poisson(j; B / 4) Phat^j over the band's B steps."""
+    weights = laws._poisson_weights(np.array([MU_H]))[:, 0]
+    powers = law.discrete._band_powers(B - 1)
+    total = weights[0] * next(powers)
+    for weight, band in zip(weights[1:], powers):
+        total += weight * band
+    total[0, -1] = 1.0
+    return laws._dense(total)
+
+
+LADDER_GENERATORS = {
+    **{f"bd_gen_{n}": (lambda n=n: (random_birth_death_generator(np.random.default_rng(0), n), None))
+       for n in (2, 3, 40, B)},
+    "skipfree_gen_6": CONTINUOUS_CHAINS["skipfree_gen_6"],
+    "skipfree_gen_25": CONTINUOUS_CHAINS["skipfree_gen_25"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(LADDER_GENERATORS))
+def test_continuous_ladder_giant_step_matches_band_sum(name):
+    # Horner in Phat^8 on the ladder's powers against the band's term-by-term sum
+    gen, m0 = LADDER_GENERATORS[name]()
+    law = hypoexp_law(RateGenerator(gen), m0)
+    assert law.discrete._laddered
+    band = _band_poisson_sum(law)
+    assert np.abs(law._giant_step() - band).max() <= 1e-15 * np.abs(band).max()
 
 
 def test_continuous_giant_step_keeps_the_absorbed_mass():

@@ -320,6 +320,33 @@ class TestLockstepAgainstReference:
         else:
             assert counts.largest[chain.d] == len(times)  # L = d - 1 on every trace
 
+    @pytest.mark.parametrize("leave", [1e-3, 0.3, 0.9, 1.0])
+    def test_holds_by_inversion_are_geometric(self, leave):
+        u = np.random.default_rng(17).random(10**5)
+        with np.errstate(divide="ignore"):  # log 0 = -inf for a pair always left
+            holds = coupling._geometric(u, np.full(u.size, np.log1p(-leave)))
+        assert holds.min() >= 1.0 and np.array_equal(holds, np.floor(holds))
+        if leave == 1.0:
+            assert np.all(holds == 1.0)
+            return
+        # about 40 cells of equal probability: (edge_{j-1}, edge_j], then the tail
+        edges = np.unique(stats.geom.ppf(np.linspace(0.0, 1.0, 41)[1:-1], leave))
+        probs = np.diff(stats.geom.cdf(edges, leave), prepend=0.0, append=1.0)
+        observed = np.bincount(np.searchsorted(edges, holds), minlength=len(edges) + 1)
+        assert stats.chisquare(observed, probs * u.size).pvalue > 1e-3
+
+    @pytest.mark.parametrize("name", ["bd3", "lazy5", "slow5"])
+    def test_stay_is_one_minus_the_leave(self, request, name):
+        chain, _ = CASES.get(name, (None, None))
+        chain = request.getfixturevalue(name) if chain is None else TransitionKernel(chain)
+        sim = coupling._coupling(Analysis(chain), "skipfree", samples=1, seed=0,
+                                 horizon=MAX_HORIZON, t_cap=0)
+        mat, n = chain.matrix, chain.n
+        hold = np.diag(mat)
+        leave = (mat.sum(axis=1) - hold)[None, :] + hold * sim.promote.reshape(n, n)
+        live = ~sim.stop & ~np.isnan(sim.log_stay)  # NaN: a refused pair
+        assert np.abs(np.exp(sim.log_stay[live]) - (1.0 - leave.ravel()[live])).max() <= 1e-15
+
     def test_job_count_does_not_change_the_report(self, bd3):
         samples = 2 * _TRACE_BLOCK + 17
         reports = [verify(bd3, mode="skipfree", samples=samples, seed=8, jobs=jobs)
@@ -368,6 +395,17 @@ class TestLockstepAgainstReference:
         stuck = TransitionKernel(np.array([[1.0, 0.0, 0.0], [0.25, 0.5, 0.25], [0.0, 0.0, 1.0]]))
         sim = coupling._SkipFree(stuck, link, dual, samples=500, seed=0,
                                  horizon=MAX_HORIZON, t_cap=64)
+        counts = sim.count(0, 1)
+        assert counts.horizon_hits == 500 and not counts.times[0].size
+
+    def test_a_pair_left_below_an_ulp_is_a_hit(self, bd3):
+        # the primal leaks 1e-17 from state 0, so at (d, 0) the stay rounds to
+        # 1 while the leave is positive: the hold is about 1e17 steps
+        spec, link, dual = _skipfree_parts(bd3)
+        leaky = TransitionKernel(np.array([[1.0, 1e-17, 0.0], [0.25, 0.5, 0.25], [0.0, 0.0, 1.0]]))
+        sim = coupling._SkipFree(leaky, link, dual, samples=500, seed=0,
+                                 horizon=MAX_HORIZON, t_cap=64)
+        assert not sim.stop[2 * 3] and -1e-16 < sim.log_stay[2 * 3] < 0.0
         counts = sim.count(0, 1)
         assert counts.horizon_hits == 500 and not counts.times[0].size
 
