@@ -649,6 +649,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    if getattr(args, "t_max", None) is not None and not 0.0 <= args.t_max < np.inf:
+        print("error: --t-max must be a finite nonnegative number", file=sys.stderr)
+        return 2
     try:
         return args.func(args)
     except ValidationError as exc:

@@ -50,6 +50,8 @@ MAX_HORIZON = 10**6
 #: continuous CDF's giant step spans B / 4 uniformization steps, the
 #: Poisson(B / 4) mixture of the same powers.  The block rows r S^s are grown
 #: by doubling from the powers S, S^2, S^4, ... (see ``duality._BlockRows``).
+#: A law's baby steps, giant steps and block caches are kept with its
+#: ``laws.DiscreteAbsorptionLaw``, which its continuous laws share.
 #: Affects speed and rounding only.
 _BLOCK_STEPS = 64
 

@@ -860,13 +860,16 @@ def verify(
     Raises
     ------
     ValueError
-        Not a chain, unknown mode, or a mode whose coupling does not exist
-        for this chain type, initial law or structure (checked in that order).
+        Fewer than one sample, not a chain, unknown mode, or a mode whose
+        coupling does not exist for this chain type, initial law or structure
+        (checked in that order).
     NotStochasticLink
         The coupling construction does not exist for this chain.
     InsufficientSamples
         No statistical gate reached its minimum cell occupancy.
     """
+    if samples < 1:
+        raise ValueError("samples must be positive")
     given = isinstance(chain, Analysis)
     if not (given or isinstance(chain, (TransitionKernel, RateGenerator))):
         raise ValueError("verify needs a TransitionKernel, a RateGenerator or an Analysis")

@@ -185,14 +185,19 @@ def build_link(kernel: TransitionKernel, spectrum: SpectrumReport, m0=None) -> L
 def build_dual(spectrum: SpectrumReport) -> DualKernel:
     """Pure-birth dual kernel from the ordered eigenvalues."""
     thetas = spectrum.values
-    n = len(thetas)
-    mat = np.zeros((n, n), dtype=thetas.dtype)
-    for i in range(n):
-        mat[i, i] = thetas[i]
-        if i + 1 < n:
-            mat[i, i + 1] = 1.0 - thetas[i]
+    mat = _dense(np.stack([thetas, 1.0 - thetas]))
     mat.setflags(write=False)
     return DualKernel(matrix=mat, thetas=thetas)
+
+
+def _dense(band: np.ndarray) -> np.ndarray:
+    """The n x n upper triangular matrix whose diagonal k is row k of ``band``."""
+    n = band.shape[1]
+    out = np.zeros((n, n), dtype=band.dtype)
+    flat = out.reshape(-1)
+    for k in range(band.shape[0]):
+        flat[k : (n - k) * (n + 1) : n + 1] = band[k, : n - k]
+    return out
 
 
 def check_intertwining(
@@ -364,12 +369,12 @@ class _BlockRows:
     products.  A block is always formed by its span's products, so its bits
     depend on s alone: growing in steps gives the blocks of one request.
 
-    ``blocks`` takes ``step``, a function that gives S, and calls it when row
-    1 is first needed; S^2, S^4, ... are squared from it and kept in
-    ``powers``.  (The step is not stored: a law's step is its own method,
-    and a law holding it would be a reference cycle that outlives the law.)
-    Rows are kept back to the last span that the doubling still reads, so
-    blocks are asked for in rising order.
+    ``span_blocks`` and ``upto`` take ``step``, a function that gives S, and
+    call it when row 1 is first needed; S^2, S^4, ... are squared from it and
+    kept in ``powers``.  (The step is not stored: a law's step is its own
+    attribute, and a law holding it would be a reference cycle that
+    outlives the law.)  Rows are kept back to the last span that the
+    doubling still reads, so blocks are asked for in rising order.
     """
 
     def __init__(self, first: np.ndarray, baby: np.ndarray):
@@ -379,6 +384,7 @@ class _BlockRows:
         self._cap = 1 << max(0, (_BLOCK_WORK // (n * max(n, c))).bit_length() - 1)
         self._rows = first[None, :]  # rows _base .. _base + len - 1
         self._base = 0
+        self._blocks = np.empty((0, c), dtype=baby.dtype)  # blocks 0 .. len - 1, for upto
 
     def span(self, s: int) -> tuple[int, int]:
         """The span [lo, hi) of rows formed together with row s."""
@@ -386,7 +392,8 @@ class _BlockRows:
         lo = s - s % k
         return lo, lo + k
 
-    def _span_rows(self, lo: int, hi: int, step) -> np.ndarray:
+    def span_blocks(self, lo: int, hi: int, step) -> np.ndarray:
+        """Blocks lo..hi-1 of the span [lo, hi), as rows; S = step()."""
         if lo < self._base:
             raise ValueError("block rows are formed in rising order")
         top = self._base + len(self._rows)
@@ -401,17 +408,24 @@ class _BlockRows:
             else:
                 self._rows = np.concatenate([self._rows, new])
             top += k
-        return self._rows[lo - self._base : hi - self._base]
+        return self._rows[lo - self._base : hi - self._base] @ self.baby
 
-    def blocks(self, lo: int, hi: int, step) -> np.ndarray:
-        """Blocks lo..hi-1 as the rows of a (hi - lo) x c array; S = step()."""
-        parts = []
-        s = lo
-        while s < hi:
-            a, b = self.span(s)
-            parts.append((self._span_rows(a, b, step) @ self.baby)[s - a : min(b, hi) - a])
-            s = b
-        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+    def upto(self, s: int, cap: int, step) -> np.ndarray:
+        """The kept blocks 0, 1, ..., s at least, as the rows of an array; S = step().
+
+        They grow to s + 1 blocks or to twice their count, whichever is more,
+        the doubling capped at ``cap`` blocks, so reads at rising times take
+        about log2 of the blocks' count such growths.
+        """
+        have = len(self._blocks)
+        if s >= have:
+            want, parts = max(s + 1, min(2 * have, cap)), [self._blocks]
+            while have < want:
+                lo, hi = self.span(have)
+                parts.append(self.span_blocks(lo, hi, step)[have - lo : min(hi, want) - lo])
+                have = hi
+            self._blocks = np.concatenate(parts)
+        return self._blocks
 
 
 def _power_ladder(step: np.ndarray, cols: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
@@ -469,7 +483,7 @@ def _separation(kernel: TransitionKernel, pi: np.ndarray, vec: np.ndarray,
     while done <= last:
         # the laws m0 P^t of one span of blocks, t = done, done + 1, ...
         lo, hi = rows.span(done // block)
-        ratios = rows.blocks(lo, hi, lambda: giant).reshape(-1, n)[: last + 1 - done] / pi
+        ratios = rows.span_blocks(lo, hi, lambda: giant).reshape(-1, n)[: last + 1 - done] / pi
         # the minimum of each row and its first position, by vector passes
         # down the n columns of the transpose: on small chains these beat
         # per-row reductions of n entries; the minimum is exact either way

@@ -38,14 +38,14 @@ recurrence, where the band's is within 2.1e-14, and S is within 2.4e-15 of
 its largest entry of B dense steps.  The rows grow by doubling too
 (``duality._BlockRows``): row s is row s - K times S^K, with K the largest
 power of two <= s, capped so that one product takes at most _BLOCK_WORK
-multiply-adds (K = 512 on 8 levels, 4 on 200).  The powers S, S^2, S^4, ...
-are kept with the law; the rows with one K, and their blocks, are each one
-matrix product, so 1 563 blocks take 13 such spans rather than 1 563
-vector-matrix products.  A block's bits depend on s only, not on the order
-of the requests.  The values are kept in an array that grows in whole
-blocks, doubling its length up to MAX_HORIZON; ``cdf`` and ``pmf`` index it
-and ``quantile`` searches it.  The values agree with a step-by-step
-recurrence to rounding, not bit for bit.
+multiply-adds (K = 512 on 8 levels, 4 on 200).  The rows with one K, and
+their blocks, are each one matrix product, so 1 563 blocks take 13 such
+spans rather than 1 563 vector-matrix products.  A block's bits depend on s
+only, not on the order of the requests.  The blocks are kept with the law
+in an array that grows in whole blocks, doubling its length up to
+MAX_HORIZON (``_BlockRows.upto``); ``cdf`` and ``pmf`` index it and
+``quantile`` searches it.  The values agree with a step-by-step recurrence
+to rounding, not bit for bit.
 
 Discrete laws live on {0, 1, 2, ...}.  A continuous law is the same dual in
 continuous time, F(t) = e0 exp(Ghat t) w with Ghat = rate (Phat - I), and it
@@ -53,11 +53,12 @@ is evaluated the same way.  Its giant step is E = exp(Ghat h) over
 h = (B / 4) / rate, the Poisson(B / 4) mixture of Phat^0..Phat^{B-1}: up to
 B levels a Horner sum in Phat^8 over the ladder's [I, Phat, ..., Phat^7]
 (within 1e-15 of its largest entry of the band's term-by-term sum), above
-B summed on the band.  The blocks e0 E^s R are cached and grown by the
-same doubling, from E, E^2, E^4, ...  With rate t = s B / 4 + r, F(t) is
-block s weighted by the Poisson(r) probabilities of 0..B-1 steps.  The
-Poisson mass past B - 1 steps is at most 1.4e-19 for every r <= B / 4, so no
-series is cut per time.
+B summed on the band.  E depends on Phat alone, not on the rate, so the
+discrete law keeps it and the blocks e0 E^s R too, grown by the same
+doubling from E, E^2, E^4, ... and shared by its continuous laws of any
+rate.  With rate t = s B / 4 + r, F(t) is block s weighted by the
+Poisson(r) probabilities of 0..B-1 steps.  The Poisson mass past B - 1
+steps is at most 1.4e-19 for every r <= B / 4, so no series is cut per time.
 """
 
 from __future__ import annotations
@@ -97,6 +98,7 @@ from .duality import (
     MonotoneReport,
     SeparationProfile,
     _BlockRows,
+    _dense,
     _power_ladder,
     _separation,
     build_dual,
@@ -176,19 +178,14 @@ def _target_column(w: np.ndarray) -> np.ndarray:
     return w
 
 
-def _unit_rows(baby: np.ndarray) -> _BlockRows:
-    """The block rows e0 S^s of baby steps ``baby``."""
-    return _BlockRows(np.eye(1, baby.shape[0], dtype=baby.dtype)[0], baby)
-
-
-def _dense(band: np.ndarray) -> np.ndarray:
-    """The n x n upper triangular matrix whose diagonal k is row k of ``band``."""
-    n = band.shape[1]
-    out = np.zeros((n, n), dtype=band.dtype)
-    flat = out.reshape(-1)
-    for k in range(band.shape[0]):
-        flat[k : (n - k) * (n + 1) : n + 1] = band[k, : n - k]
-    return out
+def _floor(t) -> np.ndarray:
+    """floor(t) as integers, for scalar or array t; a NaN or infinite t has no step."""
+    times = np.atleast_1d(np.asarray(t))
+    if times.dtype.kind in "iu":
+        return times.astype(int, copy=False)
+    if not np.isfinite(times).all():
+        raise ValueError("times must be finite")
+    return np.floor(times).astype(int)
 
 
 class DiscreteAbsorptionLaw:
@@ -251,11 +248,6 @@ class DiscreteAbsorptionLaw:
             hold = _stable_pairs(hold)
         self._hold = np.append(hold, 1.0)
         self._move = 1.0 - self._hold
-        self._cdf = np.empty(0, dtype=self._dtype)
-        self._baby = None
-        self._top = None  # Phat^B from the ladder, until the giant step is asked for
-        self._giant = None
-        self._rows = None
 
     @property
     def d(self) -> int:
@@ -264,7 +256,7 @@ class DiscreteAbsorptionLaw:
     def __repr__(self) -> str:
         return f"DiscreteAbsorptionLaw(kind={self.kind!r}, d={self.d})"
 
-    # -- evaluation ----------------------------------------------------
+    # -- the dual's powers, each formed on first use and kept -----------
 
     @property
     def _laddered(self) -> bool:
@@ -281,43 +273,30 @@ class DiscreteAbsorptionLaw:
         """Phat as a dense n x n matrix."""
         return _dense(np.stack([self._hold, self._move]))
 
-    def _baby_steps(self) -> np.ndarray:
+    @cached_property
+    def _ladder(self) -> tuple[np.ndarray, np.ndarray]:
+        """The baby steps and Phat^B, both from one doubling of dense Phat (at most B levels)."""
+        w = self.level_weights.astype(self._dtype)[:, None]
+        return _power_ladder(self._step(), w, _BLOCK_STEPS)
+
+    @cached_property
+    def _baby(self) -> np.ndarray:
         """Columns Phat^k w for k < _BLOCK_STEPS, so that F(sB + k) = e0 Phat^{sB} . column k.
 
-        Built on first use and kept; the continuous law shares them.  Up to B
-        levels the ladder forms them by doubling, and Phat^B with them; above
-        B they are stepped one column at a time.
+        Both laws' blocks read them.  Up to B levels the ladder forms them by
+        doubling, and Phat^B with them; above B they are stepped one column
+        at a time.
         """
-        if self._baby is None and self._laddered:
-            w = self.level_weights.astype(self._dtype)[:, None]
-            self._baby, self._top = _power_ladder(self._step(), w, _BLOCK_STEPS)
-        elif self._baby is None:
-            out = np.empty((len(self._hold), _BLOCK_STEPS), dtype=self._dtype)
-            col = self.level_weights.astype(self._dtype)
-            for k in range(_BLOCK_STEPS):
-                out[:, k] = col
-                nxt = col * self._hold
-                nxt[:-1] += self._move[:-1] * col[1:]
-                col = nxt
-            self._baby = out
-        return self._baby
-
-    def _extend(self, t: int) -> None:
-        """Grow the CDF cache to cover step t, in whole blocks, doubling its length.
-
-        The doubling is capped at MAX_HORIZON + 1 entries (rounded up to a
-        block); only an explicit request for a later step goes past it.
-        Block s is the row e0 S^s times the baby steps, the row formed as row
-        s - K times S^K with K the largest power of two <= s, at most 512.
-        """
-        have = len(self._cdf)
-        if t < have:
-            return
-        want = max(t + 1, min(2 * have, MAX_HORIZON + 1))
-        if self._rows is None:
-            self._rows = _unit_rows(self._baby_steps())
-        blocks = self._rows.blocks(have // _BLOCK_STEPS, -(-want // _BLOCK_STEPS), self._giant_step)
-        self._cdf = np.concatenate([self._cdf, blocks.ravel()])
+        if self._laddered:
+            return self._ladder[0]
+        out = np.empty((len(self._hold), _BLOCK_STEPS), dtype=self._dtype)
+        col = self.level_weights.astype(self._dtype)
+        for k in range(_BLOCK_STEPS):
+            out[:, k] = col
+            nxt = col * self._hold
+            nxt[:-1] += self._move[:-1] * col[1:]
+            col = nxt
+        return out
 
     def _band_powers(self, steps: int):
         """Yield Phat^m for m = 0..steps on its band, which each step overwrites.
@@ -346,7 +325,8 @@ class DiscreteAbsorptionLaw:
             band[1 : top + 1] += carry[:top]
             yield band
 
-    def _giant_step(self) -> np.ndarray:
+    @cached_property
+    def _giant(self) -> np.ndarray:
         """S = Phat^B, asked for only once a second block is needed.
 
         Up to B levels it is the ladder's last square, formed with the baby
@@ -358,37 +338,90 @@ class DiscreteAbsorptionLaw:
         ladder's S is within 2.4e-15 of its largest entry of B dense steps,
         and the CDF over 20 000 steps within 7.4e-14 of the step-by-step
         recurrence (the band's, 2.1e-14).  The block rows square S itself,
-        up to S^K with K at most 512 (``_extend``); on the signed n = 200
+        up to S^K with K at most 512 (``_BlockRows``); on the signed n = 200
         and complex n = 20 chains of the tests the CDF over 20 000 steps
         matches matrix powers of the primal to 1e-10.
         """
-        if self._giant is None and self._laddered:
-            self._baby_steps()
-            self._giant = self._top
-        elif self._giant is None:
-            for band in self._band_powers(_BLOCK_STEPS):
-                pass
-            self._giant = _dense(band)
-        return self._giant
+        if self._laddered:
+            return self._ladder[1]
+        for band in self._band_powers(_BLOCK_STEPS):
+            pass
+        return _dense(band)
+
+    @cached_property
+    def _exp_giant(self) -> np.ndarray:
+        """E = exp(Ghat h) = sum over j < B of Poisson(j; B / 4) Phat^j, the continuous giant step.
+
+        The rate only sets h = (B / 4) / rate.  The Poisson mass past B - 1
+        steps is about 1.4e-19.  For a real spectrum Ghat is a pure-birth
+        generator, so E is stochastic whatever the signs of theta.  Up to B
+        levels the sum is taken by Horner in Phat^8 (Paterson and
+        Stockmeyer): with [I, Phat, ..., Phat^7] and Phat^8 from the ladder,
+        E = (...(A_7 Phat^8 + A_6) Phat^8 ...) + A_0, A_i = sum over k < 8 of
+        Poisson(8i + k) Phat^k, in 13 products.  Above B it is summed on the
+        band over the B steps, as S is built there.
+        """
+        weights = _poisson_weights(np.array([_GIANT_MEAN]))[:, 0]
+        if self._laddered:
+            n = len(self._hold)
+            powers, eighth = _power_ladder(self._step(), np.eye(n, dtype=self._dtype), 8)
+            parts = np.tensordot(weights.reshape(-1, 8), powers.reshape(n, 8, n), ([1], [1]))
+            total = parts[-1]
+            for part in parts[-2::-1]:
+                total = total @ eighth + part
+        else:
+            powers = self._band_powers(_BLOCK_STEPS - 1)
+            total = weights[0] * next(powers)
+            for weight, band in zip(weights[1:], powers):
+                total += weight * band
+            total = _dense(total)
+        # the dual's top level is absorbing, so E keeps it exactly; the float
+        # sum of the weights may miss 1 by an ulp, and that loss would
+        # compound over the blocks
+        total[-1, -1] = 1.0
+        return total
+
+    @cached_property
+    def _rows(self) -> _BlockRows:
+        """The blocks e0 S^s R of the CDF."""
+        return _BlockRows(np.eye(1, len(self._hold), dtype=self._dtype)[0], self._baby)
+
+    @cached_property
+    def _exp_rows(self) -> _BlockRows:
+        """The blocks e0 E^s R that every continuous law on this dual reads."""
+        return _BlockRows(np.eye(1, len(self._hold), dtype=self._dtype)[0], self._baby)
+
+    def _cdf(self, t: int) -> np.ndarray:
+        """F at steps 0, 1, ..., t at least, its blocks doubling up to MAX_HORIZON + 1 steps."""
+        cap = -(-(MAX_HORIZON + 1) // _BLOCK_STEPS)
+        return self._rows.upto(t // _BLOCK_STEPS, cap, lambda: self._giant).ravel()
+
+    def _exp_blocks(self, s: int) -> np.ndarray:
+        """Blocks e0 E^s R, s = 0, 1, ..., s at least, doubling up to MAX_HORIZON / (B / 4)."""
+        cap = int(MAX_HORIZON // _GIANT_MEAN) + 1
+        return self._exp_rows.upto(s, cap, lambda: self._exp_giant)
+
+    # -- evaluation ----------------------------------------------------
 
     def _cdf_at(self, ts: np.ndarray) -> np.ndarray:
-        """Cached F at integer steps, 0 at negative ones."""
-        if ts.size:
-            self._extend(max(int(ts.max()), 0))
-            if ts.min() >= 0:
-                return self._cdf[ts]
-        return np.where(ts >= 0, self._cdf[np.maximum(ts, 0)], 0.0)
+        """F at integer steps, 0 at negative ones."""
+        if not ts.size:
+            return np.zeros(0)
+        cdf = self._cdf(max(int(ts.max()), 0))
+        if ts.min() >= 0:
+            return cdf[ts]
+        return np.where(ts >= 0, cdf[np.maximum(ts, 0)], 0.0)
 
     def cdf(self, t):
-        """P(T <= t) for integer t (scalar or array)."""
-        ts = np.atleast_1d(np.asarray(t, dtype=int))
-        vals = _real_probability(self._cdf_at(ts), "cdf")
+        """P(T <= t) for real t (scalar or array), that is F at floor(t)."""
+        vals = _real_probability(self._cdf_at(_floor(t)), "cdf")
         return float(vals[0]) if np.ndim(t) == 0 else vals
 
     def pmf(self, t):
-        """P(T = t) for integer t (scalar or array)."""
-        ts = np.atleast_1d(np.asarray(t, dtype=int))
+        """P(T = t) for real t (scalar or array); 0 off the integers."""
+        ts = _floor(t)
         vals = _real_probability(self._cdf_at(ts) - self._cdf_at(ts - 1), "pmf")
+        vals = np.where(ts == np.atleast_1d(t), vals, 0.0)
         return float(vals[0]) if np.ndim(t) == 0 else vals
 
     def pgf(self, u):
@@ -415,13 +448,13 @@ class DiscreteAbsorptionLaw:
 
     def quantile(self, q: float) -> int:
         """Smallest t with F(t) >= q."""
-        if not 0.0 <= q < 1.0 + 1e-15:
+        if not 0.0 <= q < 1.0:
             raise ValueError("quantile level must be in [0, 1)")
         start = 0
         while True:
-            self._extend(start)
-            stop = min(len(self._cdf), MAX_HORIZON + 1)
-            hits = np.flatnonzero(_real_probability(self._cdf[start:stop], "cdf") >= q)
+            cdf = self._cdf(start)
+            stop = min(len(cdf), MAX_HORIZON + 1)
+            hits = np.flatnonzero(_real_probability(cdf[start:stop], "cdf") >= q)
             if len(hits):
                 return start + int(hits[0])
             if stop > MAX_HORIZON:
@@ -473,92 +506,35 @@ class ContinuousAbsorptionLaw:
             self.kind = "mixture"
         else:
             self.kind = "numeric_cdf"
-        # block s, entry j: e0 E^s Phat^j w with E = exp(Ghat h), rate h = B / 4
-        self._blocks = np.empty((0, _BLOCK_STEPS), dtype=discrete._dtype)
-        self._giant = None
-        self._rows = None
 
     def __repr__(self) -> str:
         return f"ContinuousAbsorptionLaw(kind={self.kind!r}, d={self.discrete.d})"
 
-    def _extend(self, s: int) -> None:
-        """Grow the block cache to cover block s, doubling its length.
-
-        The doubling is capped at the blocks that MAX_HORIZON uniformization
-        steps need; ``cdf`` never asks for more.  Block s is e0 E^s R, its row
-        e0 E^s formed as row s - K times E^K, K the largest power of two <= s
-        up to the same cap as the discrete law's; E, E^2, E^4, ... are kept
-        with the law.
-        So the cost is about log2(s) products, not s, and a block's bits do
-        not depend on the order in which times were asked for.
-        """
-        have = len(self._blocks)
-        if s < have:
-            return
-        want = max(s + 1, min(2 * have, int(MAX_HORIZON // _GIANT_MEAN) + 1))
-        if self._rows is None:
-            self._rows = _unit_rows(self.discrete._baby_steps())
-        blocks = self._rows.blocks(have, want, self._giant_step)
-        self._blocks = np.concatenate([self._blocks, blocks])
-
-    def _giant_step(self) -> np.ndarray:
-        """E = exp(Ghat h) = sum over j < B of Poisson(j; B / 4) Phat^j.
-
-        The Poisson mass past B - 1 steps is about 1.4e-19.  For a real
-        spectrum Ghat is a pure-birth generator, so E is stochastic whatever
-        the signs of theta.  Up to B levels the sum is taken by Horner in
-        Phat^8 (Paterson and Stockmeyer): with [I, Phat, ..., Phat^7] and
-        Phat^8 from the ladder, E = (...(A_7 Phat^8 + A_6) Phat^8 ...) + A_0,
-        A_i = sum over k < 8 of Poisson(8i + k) Phat^k, in 13 products.
-        Above B it is summed on the band over the B steps, as the discrete
-        giant step is built there.
-        """
-        if self._giant is None:
-            weights = _poisson_weights(np.array([_GIANT_MEAN]))[:, 0]
-            disc = self.discrete
-            if disc._laddered:
-                n = len(disc._hold)
-                powers, eighth = _power_ladder(disc._step(), np.eye(n, dtype=disc._dtype), 8)
-                parts = np.tensordot(weights.reshape(-1, 8), powers.reshape(n, 8, n), ([1], [1]))
-                total = parts[-1]
-                for part in parts[-2::-1]:
-                    total = total @ eighth + part
-            else:
-                powers = disc._band_powers(_BLOCK_STEPS - 1)
-                total = weights[0] * next(powers)
-                for weight, band in zip(weights[1:], powers):
-                    total += weight * band
-                total = _dense(total)
-            # the dual's top level is absorbing, so E keeps it exactly; the
-            # float sum of the weights may miss 1 by an ulp, and that loss
-            # would compound over the blocks
-            total[-1, -1] = 1.0
-            self._giant = total
-        return self._giant
-
     def cdf(self, t):
         """P(T <= t) for t >= 0 (scalar or array).
 
-        With rate t = s B / 4 + r and 0 <= r < B / 4, F(t) is cached block s
-        weighted by the Poisson(r) probabilities of 0..B-1 steps, so a time's
-        value does not depend on the other times requested with it.  A time
+        With rate t = s B / 4 + r and 0 <= r < B / 4, F(t) is block s of the
+        discrete law's e0 E^s R weighted by the Poisson(r) probabilities of
+        0..B-1 steps, so a time's value does not depend on the other times
+        requested with it.  A time
         past MAX_HORIZON uniformization steps raises ``HorizonExceeded``
         before anything is allocated.
         """
         ts = np.atleast_1d(np.asarray(t, dtype=float))
         if not (ts >= 0).all():
             raise ValueError("times must be nonnegative")
+        if not ts.size:
+            return np.zeros(0)
         mus = self.rate * ts
-        if ts.size and mus.max() > MAX_HORIZON:
+        if mus.max() > MAX_HORIZON:
             raise HorizonExceeded(
                 f"Poisson series of {mus.max():.4g} uniformization steps at "
                 f"t = {float(ts.max())!r} exceeds {MAX_HORIZON}"
             )
         ks = np.floor(mus / _GIANT_MEAN).astype(int)
-        if ts.size:
-            self._extend(int(ks.max()))
+        blocks = self.discrete._exp_blocks(int(ks.max()))
         weights = _poisson_weights(mus - _GIANT_MEAN * ks)
-        out = _real_probability(np.einsum("ji,ij->i", weights, self._blocks[ks]), "cdf")
+        out = _real_probability(np.einsum("ji,ij->i", weights, blocks[ks]), "cdf")
         return float(out[0]) if np.ndim(t) == 0 else out
 
     def laplace(self, s):

@@ -3,7 +3,9 @@ where the tracer looks for it, and the names removed from the API stay removed.
 
 ``perfbench/tracing.py`` patches each ``(module, attribute)`` of its
 ``TARGETS`` and raises ``AttributeError`` on a missing one, so a renamed
-target would break the traced benchmark rather than a test.
+target would break the traced benchmark rather than a test.  The tracer is
+also installed and uninstalled once on the loaded package, ``ssdual.cli``
+included, as a traced run does.
 """
 
 from __future__ import annotations
@@ -23,11 +25,15 @@ REMOVED = ("validate_kernel", "validate_generator", "InitialLaw", "SpectrumClass
            "classify_spectrum")
 
 
-def _tracer_targets() -> list[tuple[str, str]]:
+def _tracing():
     spec = importlib.util.spec_from_file_location("_perfbench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
-    return [(module, attr) for module, attr, *_ in tracing.TARGETS]
+    return tracing
+
+
+def _tracer_targets() -> list[tuple[str, str]]:
+    return [(module, attr) for module, attr, *_ in _tracing().TARGETS]
 
 
 @pytest.mark.parametrize("module, attr", _tracer_targets())
@@ -38,6 +44,24 @@ def test_tracer_target_resolves(module, attr):
         owner = getattr(owner, cls)
     # the tracer reads a method from the class's own __dict__
     assert callable(vars(owner)[name])
+
+
+def test_tracer_installs_and_uninstalls():
+    # what a traced benchmark run does first, with every target module loaded
+    import ssdual.cli
+
+    tracer = _tracing().Tracer()
+    before = {name: value for name, value in vars(ssdual.laws).items() if callable(value)}
+    method = vars(ssdual.DiscreteAbsorptionLaw)["cdf"]
+    tracer.install()
+    try:
+        assert vars(ssdual.DiscreteAbsorptionLaw)["cdf"] is not method
+        assert ssdual.cli.main is not ssdual.cli.main.__wrapped__
+    finally:
+        tracer.uninstall()
+    assert vars(ssdual.DiscreteAbsorptionLaw)["cdf"] is method
+    assert not hasattr(ssdual.cli.main, "__wrapped__")
+    assert {name: vars(ssdual.laws)[name] for name in before} == before
 
 
 def test_exports_resolve_and_removed_names_are_gone():

@@ -25,6 +25,7 @@ import numpy as np
 import pytest
 
 from ssdual import (
+    ContinuousAbsorptionLaw,
     DiscreteAbsorptionLaw,
     HorizonExceeded,
     RateGenerator,
@@ -38,6 +39,7 @@ from ssdual import (
 from ssdual import laws
 from ssdual.config import _BLOCK_STEPS as B
 from ssdual.config import CDF_TAIL, MAX_HORIZON
+from ssdual.duality import _dense
 from ssdual.families import (
     random_birth_death_generator,
     random_birth_death_kernel,
@@ -163,10 +165,11 @@ class TestDiscreteBlocks:
         step.cdf(5)
         step.cdf(10**4)
         q = step.quantile(0.999)
+        kept = step._cdf(0)
         once = DiscreteAbsorptionLaw(law.thetas, law.level_weights)
-        once.cdf(np.arange(len(step._cdf)))
-        assert len(step._cdf) % B == 0
-        np.testing.assert_array_equal(step._cdf, once._cdf[: len(step._cdf)])
+        once.cdf(np.arange(len(kept)))
+        assert len(kept) % B == 0
+        np.testing.assert_array_equal(kept, once._cdf(0)[: len(kept)])
         assert once.quantile(0.999) == q
 
     def test_pmf_at_zero_and_negative(self, chain_law):
@@ -198,10 +201,8 @@ def test_band_giant_step_matches_dense_steps(name):
     dense = DiscreteAbsorptionLaw(law.thetas, law.level_weights)
     dense._giant = dense_giant_step(dense)
     # equal as numbers; only the sign of zeros below the diagonal may differ
-    np.testing.assert_array_equal(banded._giant_step(), dense._giant)
-    banded._extend(20_000)
-    dense._extend(20_000)
-    assert banded._cdf.tobytes() == dense._cdf.tobytes()
+    np.testing.assert_array_equal(banded._giant, dense._giant)
+    assert banded._cdf(20_000).tobytes() == dense._cdf(20_000).tobytes()
 
 
 LADDER_FAMILIES = {
@@ -229,7 +230,7 @@ def test_ladder_giant_step_and_cdf_match_steps(family, n):
             assert law.thetas.min() < 0.0
         assert law.level_weights[:-1].any() == (family == "link_upper_triangular")
     dense = dense_giant_step(law)
-    assert np.abs(law._giant_step() - dense).max() <= 1e-13 * np.abs(dense).max()
+    assert np.abs(law._giant - dense).max() <= 1e-13 * np.abs(dense).max()
     assert np.abs(law.cdf(np.arange(20_001)) - stepwise_cdf(law, 20_000)).max() <= 1e-12
 
 
@@ -240,11 +241,12 @@ def test_growth_past_the_power_cap_gives_same_cache():
     for t in (5, 10**4, 20_000):
         step.cdf(t)
     q = step.quantile(0.999)
-    lo, hi = step._rows.span(len(step._cdf) // B - 1)
-    assert hi - lo == 4 and len(step._cdf) // B > 16
+    kept = step._cdf(0)
+    lo, hi = step._rows.span(len(kept) // B - 1)
+    assert hi - lo == 4 and len(kept) // B > 16
     once = DiscreteAbsorptionLaw(law.thetas, law.level_weights)
-    once.cdf(np.arange(len(step._cdf)))
-    np.testing.assert_array_equal(step._cdf, once._cdf[: len(step._cdf)])
+    once.cdf(np.arange(len(kept)))
+    np.testing.assert_array_equal(kept, once._cdf(0)[: len(kept)])
     assert once.quantile(0.999) == q
 
 
@@ -266,11 +268,14 @@ def test_long_horizon_matches_stepwise_and_oracle(name):
 
 
 def test_single_block_builds_no_giant_step():
-    law = absorption_law(TransitionKernel(np.array(BD3_MATRIX)))
-    law.cdf(B - 1)
-    assert law._giant is None
-    law.cdf(B)
-    assert law._giant is not None
+    # on the ladder (3 levels) S comes with the baby steps but is not read;
+    # on the band (200 levels) it is not formed at all
+    for kernel in (LAW_CHAINS["bd3"](), GIANT_CHAINS["lazy_birth_death_200"]()):
+        law = absorption_law(kernel)
+        law.cdf(B - 1)
+        assert "_giant" not in vars(law) and not law._rows.powers
+        law.cdf(B)
+        assert "_giant" in vars(law) and law._rows.powers
 
 
 def test_empty_grid():
@@ -285,7 +290,7 @@ def test_quantile_past_horizon_raises_quickly():
     with pytest.raises(HorizonExceeded):
         law.quantile(1.0 - 1e-6)
     assert time.perf_counter() - start < 5.0
-    assert MAX_HORIZON < len(law._cdf) <= MAX_HORIZON + B
+    assert MAX_HORIZON < len(law._cdf(0)) <= MAX_HORIZON + B
     assert law.cdf(MAX_HORIZON) == pytest.approx(1.0 - (1.0 - 1e-8) ** MAX_HORIZON, rel=1e-9)
 
 
@@ -317,7 +322,7 @@ def test_signed_birth_death_in_stable_pairs(n):
     assert np.abs(law.cdf(np.arange(20_001)) - oracle[:20_001]).max() <= 1e-12
     assert oracle[-1] >= 1.0 - 1e-6
     assert law.quantile(1.0 - 1e-6) == int(np.argmax(oracle >= 1.0 - 1e-6))
-    assert np.abs(law._giant_step()).max() <= 1.0
+    assert np.abs(law._giant).max() <= 1.0
 
 
 def test_continuous_cdf_past_the_horizon_raises_before_allocating():
@@ -325,7 +330,8 @@ def test_continuous_cdf_past_the_horizon_raises_before_allocating():
     law = hypoexp_law(RateGenerator(stiff_birth_death_generator(8, -4.0, 2.0)))
     with pytest.raises(HorizonExceeded, match="Poisson series"):
         law.cdf(law.mean())
-    assert len(law.discrete._cdf) == 0
+    # no baby steps, giant step or block rows were formed
+    assert not {"_baby", "_exp_giant", "_exp_rows"} & set(vars(law.discrete))
     with pytest.raises(HorizonExceeded):
         law.quantile(0.5)
 
@@ -496,7 +502,7 @@ def test_continuous_cdf_matches_expm(name):
     assert np.abs(law.cdf(ts) - oracle).max() <= 1e-12
     assert oracle[-1] >= 1.0 - 1e-9
     # the deep-tail time lies past the last block edge probed
-    assert len(law._blocks) > 17
+    assert len(law.discrete._exp_blocks(0)) > 17
 
 
 @pytest.mark.parametrize("name", sorted(CONTINUOUS_CHAINS))
@@ -509,8 +515,24 @@ def test_continuous_growth_in_steps_gives_same_blocks(name):
         law.cdf(t)
     once = hypoexp_law(RateGenerator(gen), m0)
     once.cdf(ts)
-    assert len(law._blocks) >= len(once._blocks) > 600
-    np.testing.assert_array_equal(law._blocks[: len(once._blocks)], once._blocks)
+    kept, once_kept = law.discrete._exp_blocks(0), once.discrete._exp_blocks(0)
+    assert len(kept) >= len(once_kept) > 600
+    np.testing.assert_array_equal(kept[: len(once_kept)], once_kept)
+
+
+def test_continuous_laws_of_two_rates_share_the_blocks():
+    # E = exp(Ghat h) and its blocks depend on Phat alone; the rate only maps t to (s, r)
+    gen, m0 = CONTINUOUS_CHAINS["skipfree_gen_6"]()
+    disc = hypoexp_law(RateGenerator(gen), m0).discrete
+    ts = np.linspace(0.0, 5.0 * disc.mean(), 300)
+    shared = [ContinuousAbsorptionLaw(disc, rate) for rate in (1.0, 3.7)]
+    # the slow law first, then the fast one grows the blocks, then the slow one again
+    values = [shared[0].cdf(ts[::2]), shared[1].cdf(ts), shared[0].cdf(ts)]
+    fresh = [ContinuousAbsorptionLaw(DiscreteAbsorptionLaw(disc.thetas, disc.level_weights), rate)
+             for rate in (1.0, 3.7)]
+    expected = [fresh[0].cdf(ts[::2]), fresh[1].cdf(ts), fresh[0].cdf(ts)]
+    for got, want in zip(values, expected):
+        assert got.tobytes() == want.tobytes()
 
 
 def _band_poisson_sum(law) -> np.ndarray:
@@ -521,7 +543,7 @@ def _band_poisson_sum(law) -> np.ndarray:
     for weight, band in zip(weights[1:], powers):
         total += weight * band
     total[0, -1] = 1.0
-    return laws._dense(total)
+    return _dense(total)
 
 
 LADDER_GENERATORS = {
@@ -539,14 +561,14 @@ def test_continuous_ladder_giant_step_matches_band_sum(name):
     law = hypoexp_law(RateGenerator(gen), m0)
     assert law.discrete._laddered
     band = _band_poisson_sum(law)
-    assert np.abs(law._giant_step() - band).max() <= 1e-15 * np.abs(band).max()
+    assert np.abs(law.discrete._exp_giant - band).max() <= 1e-15 * np.abs(band).max()
 
 
 def test_continuous_giant_step_keeps_the_absorbed_mass():
     gen, _ = CONTINUOUS_CHAINS["bd_gen_40"]()
     law = hypoexp_law(RateGenerator(gen))
     law.cdf(1.0)
-    giant = law._giant_step()
+    giant = law.discrete._exp_giant
     assert giant[-1, -1] == 1.0
     assert np.abs(giant.sum(axis=1) - 1.0).max() <= 1e-14
     assert giant.min() >= 0.0

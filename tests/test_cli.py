@@ -330,6 +330,20 @@ class TestSimulateAndVerify:
         assert json.loads(r.stdout)["report"]["mode"] == "continuous"
 
 
+@pytest.mark.parametrize("command, matrix, mode, t_max", [
+    ("absorption", BD3_MATRIX, "discrete", "-5"),
+    ("absorption", CT21_MATRIX, "continuous", "-5"),
+    ("sst", ERG3_MATRIX, "discrete", "-5"),
+    ("absorption", BD3_MATRIX, "discrete", "inf"),
+    ("sst", ERG3_MATRIX, "discrete", "nan"),
+], ids=["absorption-bd3", "absorption-ct21", "sst-erg3", "absorption-bd3-inf", "sst-erg3-nan"])
+def test_series_horizon_must_be_a_nonnegative_time(chain_file, command, matrix, mode, t_max):
+    r = run_cli(command, chain_file(matrix, mode=mode), "--t-max", t_max)
+    assert r.returncode == 2
+    assert "--t-max must be a finite nonnegative number" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
 class TestOutput:
     def test_out_writes_both_formats(self, chain_file, tmp_path):
         base = str(tmp_path / "result")

@@ -154,6 +154,11 @@ class TestVerify:
         with pytest.raises(InsufficientSamples):
             verify(bd3, mode="skipfree", samples=5, seed=1)
 
+    @pytest.mark.parametrize("samples", [0, -3])
+    def test_samples_must_be_positive(self, bd3, samples):
+        with pytest.raises(ValueError, match="samples must be positive"):
+            verify(bd3, samples=samples, seed=1)
+
     def test_horizon_hits_fail_the_run(self, bd3):
         rep = verify(bd3, mode="skipfree", samples=2000, seed=2, horizon=4)
         assert rep.horizon_hits > 0

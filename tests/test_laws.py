@@ -104,6 +104,26 @@ class TestDiscreteAbsorptionLaw:
             assert law.cdf(t) >= q
             assert t == 0 or law.cdf(t - 1) < q
 
+    def test_times_between_steps(self, bd3):
+        # F is a step function: F(t) = F(floor t), and T puts no mass off the integers
+        law = absorption_law(bd3, [0.5, 0.0, 0.5])
+        assert law.cdf(-0.5) == 0.0 and law.pmf(-0.5) == 0.0
+        assert law.cdf(2.5) == law.cdf(2) and law.pmf(2.5) == 0.0
+        ts = np.array([-1.5, -0.5, 0.0, 0.5, 1.0, 2.999, 3.0])
+        steps = np.floor(ts).astype(int)
+        np.testing.assert_array_equal(law.cdf(ts), law.cdf(steps))
+        np.testing.assert_array_equal(law.pmf(ts), np.where(ts == steps, law.pmf(steps), 0.0))
+        for bad in (np.nan, np.inf, [1.0, np.nan]):
+            with pytest.raises(ValueError, match="finite"):
+                law.cdf(bad)
+
+    def test_quantile_level_below_one(self, bd3):
+        law = absorption_law(bd3, [0.5, 0.0, 0.5])
+        for q in (1.0, np.nextafter(1.0, 2.0), -0.1):
+            with pytest.raises(ValueError, match=r"\[0, 1\)"):
+                law.quantile(q)
+        assert law.cdf(law.quantile(np.nextafter(1.0, 0.0))) >= np.nextafter(1.0, 0.0)
+
     def test_sampling_matches_mean(self, bd3):
         law = absorption_law(bd3)
         rng = np.random.default_rng(11)
