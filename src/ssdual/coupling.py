@@ -853,6 +853,9 @@ def verify(
     law : optional
         The law under test (the chain's own when omitted).  The coupling
         always comes from the chain, so a wrong law meets the true link.
+    horizon : int
+        A trace still running after this many steps (in discrete time) or
+        jumps (in continuous time) is a horizon hit; at least 1.
     jobs : int
         Worker processes, each given a run of whole blocks of traces; the
         per-block streams make the result identical for any job count.
@@ -860,9 +863,9 @@ def verify(
     Raises
     ------
     ValueError
-        Fewer than one sample, not a chain, unknown mode, or a mode whose
-        coupling does not exist for this chain type, initial law or structure
-        (checked in that order).
+        Fewer than one sample, a horizon below 1, not a chain, unknown mode,
+        or a mode whose coupling does not exist for this chain type, initial
+        law or structure (checked in that order).
     NotStochasticLink
         The coupling construction does not exist for this chain.
     InsufficientSamples
@@ -870,6 +873,8 @@ def verify(
     """
     if samples < 1:
         raise ValueError("samples must be positive")
+    if horizon < 1:
+        raise ValueError("horizon must be at least 1")
     given = isinstance(chain, Analysis)
     if not (given or isinstance(chain, (TransitionKernel, RateGenerator))):
         raise ValueError("verify needs a TransitionKernel, a RateGenerator or an Analysis")
@@ -877,19 +882,18 @@ def verify(
         raise ValueError("an Analysis carries its own initial law; pass no m0")
     analysis = chain if given else Analysis(chain, m0)
     generator = analysis.rate is not None
-    skip_free = analysis.chain_class.skip_free_up
+    skip_free_from_zero = analysis._skip_free_from_zero
     if mode is None:
-        mode = ("continuous" if generator
-                else "skipfree" if skip_free and analysis.starts_at_zero else "general")
+        mode = "continuous" if generator else "skipfree" if skip_free_from_zero else "general"
     elif mode not in ("skipfree", "general", "continuous"):
         raise ValueError(f"unknown mode {mode!r}")
     if generator != (mode == "continuous"):
         chain_type = TransitionKernel if generator else RateGenerator
         raise ValueError(f"{mode} mode requires a {chain_type.__name__}")
-    if mode != "general" and not analysis.starts_at_zero:
-        raise ValueError(f"{mode} coupling starts at state 0; other starts need mode 'general'")
-    if mode != "general" and not skip_free:
-        raise ValueError(f"{mode} coupling needs a skip-free chain; others need mode 'general'")
+    if mode != "general" and not skip_free_from_zero:
+        misfit = ("starts at state 0; other starts" if not analysis.starts_at_zero
+                  else "needs a skip-free chain; others")
+        raise ValueError(f"{mode} coupling {misfit} need mode 'general'")
     if law is None:
         law = analysis.absorption_law()
     # continuous time has no per-step conditional cells

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import _BLOCK_WORK, _BLOCK_STEPS, CDF_TAIL, MAX_HORIZON, TOL_NONNEG, tol_alg
-from .errors import HorizonExceeded, NotErgodic
+from .errors import HorizonExceeded, NotErgodic, NumericalBreakdown
 from .chains import TransitionKernel, as_initial, classify_kernel, stationary_law
 from .spectral import SpectrumReport
 
@@ -154,13 +154,22 @@ def build_link(kernel: TransitionKernel, spectrum: SpectrumReport, m0=None) -> L
 
         r_{k+1} = (r_k P - theta_k r_k) / (1 - theta_k),
 
-    that is d vector-matrix products: O(n^3) time and an n x n array.
+    that is d vector-matrix products: O(n^3) time and an n x n array.  The
+    rows can grow past double precision on long chains (a birth-death chain
+    of a few hundred states); a non-finite row raises ``NumericalBreakdown``.
     """
     n = kernel.n
     rows = np.empty((n, n), dtype=float if spectrum.all_real else complex)
     rows[0] = as_initial(m0, n)
-    for k, theta in enumerate(spectrum.nonunit):
-        rows[k + 1] = (rows[k] @ kernel.matrix - theta * rows[k]) / (1.0 - theta)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, theta in enumerate(spectrum.nonunit):
+            rows[k + 1] = (rows[k] @ kernel.matrix - theta * rows[k]) / (1.0 - theta)
+    finite = np.isfinite(rows).all(axis=1)
+    if not finite.all():
+        raise NumericalBreakdown(
+            f"link row {int(np.argmin(finite))} is not finite; its recurrence "
+            "overflowed double precision"
+        )
     rowsum = float(np.abs(rows.sum(axis=1) - 1.0).max())
     clamped = 0
     stochastic = False

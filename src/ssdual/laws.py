@@ -170,7 +170,7 @@ def _target_column(w: np.ndarray) -> np.ndarray:
     algebraic tolerance has lost the digits the law needs.
     """
     residual = float(abs(w[-1] - 1.0))
-    if residual > tol_alg(len(w)):
+    if not residual <= tol_alg(len(w)):  # a NaN residual fails too
         raise NumericalBreakdown(
             f"the link's target column does not reach 1 (residual {residual!r}); "
             "its recurrence lost that much in double precision"
@@ -216,8 +216,10 @@ class DiscreteAbsorptionLaw:
         w = np.atleast_1d(np.asarray(level_weights)).copy()
         if len(w) != len(thetas) + 1:
             raise ValueError("level_weights must have one more entry than thetas")
+        if not (np.isfinite(thetas).all() and np.isfinite(w).all()):
+            raise ValueError("thetas and level_weights must be finite")
         residual = float(abs(w[-1] - 1.0))
-        if residual > tol_alg(len(w)):
+        if not residual <= tol_alg(len(w)):
             raise PreconditionError(f"target column does not reach 1 (residual {residual!r})")
         w[-1] = 1.0
         if np.iscomplexobj(thetas) and np.abs(thetas.imag).max() == 0.0:
@@ -404,16 +406,23 @@ class DiscreteAbsorptionLaw:
     # -- evaluation ----------------------------------------------------
 
     def _cdf_at(self, ts: np.ndarray) -> np.ndarray:
-        """F at integer steps, 0 at negative ones."""
+        """F at integer steps, 0 at negative ones; past MAX_HORIZON raises before allocating."""
         if not ts.size:
             return np.zeros(0)
-        cdf = self._cdf(max(int(ts.max()), 0))
+        top = int(ts.max())
+        if top > MAX_HORIZON:
+            raise HorizonExceeded(f"t = {top} exceeds the horizon of {MAX_HORIZON} steps")
+        cdf = self._cdf(max(top, 0))
         if ts.min() >= 0:
             return cdf[ts]
         return np.where(ts >= 0, cdf[np.maximum(ts, 0)], 0.0)
 
     def cdf(self, t):
-        """P(T <= t) for real t (scalar or array), that is F at floor(t)."""
+        """P(T <= t) for real t (scalar or array), that is F at floor(t).
+
+        A t past MAX_HORIZON steps raises ``HorizonExceeded``, as ``quantile``
+        does, rather than grow the kept CDF to reach it.
+        """
         vals = _real_probability(self._cdf_at(_floor(t)), "cdf")
         return float(vals[0]) if np.ndim(t) == 0 else vals
 
@@ -594,6 +603,11 @@ class Analysis:
     dual), and stationary -> monotone -> certification; a full separation
     scan is kept too.  The laws, ``verify`` and the command line all read them
     from one Analysis.
+
+    The route is decided once, from the class: a chain skip-free upward and
+    started at state 0 has level weights e_d, so its laws (and ``verify``'s
+    default coupling) need the spectrum and never build the link; any other
+    chain reads the link's target column.
     """
 
     def __init__(self, chain: TransitionKernel | RateGenerator, m0=None):
@@ -611,6 +625,17 @@ class Analysis:
     def starts_at_zero(self) -> bool:
         """Whether the initial law is the point mass at state 0."""
         return bool(self.m0[0] == 1.0)
+
+    @property
+    def _skip_free_from_zero(self) -> bool:
+        """Whether the chain is skip-free upward and starts at state 0.
+
+        Then the link is lower triangular with unit corner, so its target
+        column is e_d and the law needs the spectrum alone (the theorem's
+        sum of geometrics).  The class decides it, not the computed link,
+        whose recurrence can overflow long before the spectrum fails.
+        """
+        return self.chain_class.skip_free_up and self.starts_at_zero
 
     @cached_property
     def spectrum(self) -> SpectrumReport:
@@ -690,13 +715,7 @@ class Analysis:
         if not cls.target_accessible:
             raise TargetNotAccessible("target state is not accessible from every state")
         require_absorbing(self.chain)
-        spectrum = self.spectrum
-        if cls.skip_free_up and self.starts_at_zero:
-            w = np.zeros(self.kernel.n, dtype=float if spectrum.all_real else complex)
-            w[-1] = 1.0
-        else:
-            w = _target_column(self.link.rows[:, -1])
-        law = DiscreteAbsorptionLaw(spectrum.nonunit, w)
+        law = self._law(1.0)
         return law if self.rate is None else ContinuousAbsorptionLaw(law, self.rate)
 
     def sst_law(self) -> DiscreteAbsorptionLaw:
@@ -716,13 +735,22 @@ class Analysis:
                 raise MonotoneHypothesisFails(
                     f"separation is not minimized at the target (first failure at t={bad})"
                 )
-        link = self.link
-        if link.lower_triangular and self.starts_at_zero:
-            w = np.zeros(self.kernel.n, dtype=link.rows.dtype)
+        return self._law(self.stationary[-1])
+
+    def _law(self, scale: float) -> DiscreteAbsorptionLaw:
+        """The dual's law with level weights e_d, or the link's target column over ``scale``.
+
+        The hitting time takes scale 1 and the strong stationary time pi(d).
+        Skip-free from 0 the weights are e_d whatever the scale, and the link
+        is not built.
+        """
+        spectrum = self.spectrum
+        if self._skip_free_from_zero:
+            w = np.zeros(self.kernel.n, dtype=float if spectrum.all_real else complex)
             w[-1] = 1.0
         else:
-            w = _target_column(link.rows[:, -1] / self.stationary[-1])
-        return DiscreteAbsorptionLaw(self.spectrum.nonunit, w)
+            w = _target_column(self.link.rows[:, -1] / scale)
+        return DiscreteAbsorptionLaw(spectrum.nonunit, w)
 
 
 def absorption_law(kernel: TransitionKernel, m0=None) -> DiscreteAbsorptionLaw:
@@ -743,7 +771,8 @@ def absorption_law(kernel: TransitionKernel, m0=None) -> DiscreteAbsorptionLaw:
     PreconditionError
         Target not absorbing.
     NumericalBreakdown
-        The link's target column misses 1 by more than ``tol_alg(n)``.
+        The link has a non-finite row, or its target column misses 1 by more
+        than ``tol_alg(n)``.
     """
     return Analysis(kernel, m0).absorption_law()
 
@@ -753,7 +782,10 @@ def sst_law(kernel: TransitionKernel, m0=None) -> DiscreteAbsorptionLaw:
 
     The CDF equals 1 - s(t) (separation from stationarity) whenever the
     separation is minimized at the target state; the target column of the
-    link, rescaled by pi(d), supplies the level weights.
+    link, rescaled by pi(d), supplies the level weights.  A skip-free chain
+    started at 0 builds no link: its rescaled target column is e_d, so the
+    law is the convolution of d geometrics (when the spectrum is real
+    nonnegative).
 
     The hypothesis is certified structurally when the time reversal is
     stochastically monotone and the initial ratios m0/pi are nonincreasing
@@ -768,7 +800,8 @@ def sst_law(kernel: TransitionKernel, m0=None) -> DiscreteAbsorptionLaw:
     MonotoneHypothesisFails
         Reversal not monotone, or separation minimizer leaves the target.
     NumericalBreakdown
-        The link's target column, over pi(d), misses 1 by more than ``tol_alg(n)``.
+        The link has a non-finite row, or its target column, over pi(d),
+        misses 1 by more than ``tol_alg(n)``.
     """
     return Analysis(kernel, m0).sst_law()
 

@@ -10,6 +10,7 @@ import pytest
 
 from ssdual import (
     Analysis,
+    DiscreteAbsorptionLaw,
     NotErgodic,
     RateGenerator,
     TransitionKernel,
@@ -66,9 +67,10 @@ SAMPLES = ["--samples", "2000", "--seed", "12"]
 
 
 @pytest.mark.parametrize("argv, expected", [
-    # sst: the second classification is stationary_law's own input check
+    # sst: the second classification is stationary_law's own input check; ERG3
+    # is skip-free from 0, so its law needs no link
     (["sst", "erg3", "--oracle"],
-     dict(classify=2, eigenvalues=1, link=1, stationary=1, monotone=1)),
+     dict(classify=2, eigenvalues=1, stationary=1, monotone=1)),
     (["verify", "bd3", *SAMPLES], dict(classify=1, eigenvalues=1, link=1)),
     (["verify", "gen3i", "--mode", "general", *SAMPLES],
      dict(classify=1, eigenvalues=1, link=1, modified=1)),
@@ -98,6 +100,27 @@ def test_cli_runs_each_stage_once(chain_file, stage_counts, capsys, argv, expect
 def test_library_verify_runs_each_stage_once(request, stage_counts, chain, mode, m0, expected):
     verify(request.getfixturevalue(chain), mode=mode, samples=2000, seed=12, m0=m0)
     assert dict(stage_counts) == expected
+
+
+@pytest.mark.parametrize("n", [400, 500, 800])
+def test_skip_free_sst_law_reads_the_spectrum_alone(stage_counts, n):
+    # from n = 500 the link's recurrence overflows; the law once read its NaN
+    # target column and came back with a NaN mean
+    kernel = TransitionKernel(random_ergodic_birth_death(np.random.default_rng(0), n))
+    analysis = Analysis(kernel)
+    law = analysis.sst_law()
+    assert stage_counts["link"] == 0
+    assert np.isfinite(law.mean()) and np.isfinite(law.cdf(10))
+    e_d = np.eye(1, n, n - 1)[0]
+    reference = DiscreteAbsorptionLaw(analysis.spectrum.nonunit, e_d)
+    assert law.kind == reference.kind == "geometric_convolution"
+    np.testing.assert_array_equal(law.thetas, reference.thetas)
+    np.testing.assert_array_equal(law.level_weights, reference.level_weights)
+    if n <= 500:
+        t = 10**5
+        power = np.linalg.matrix_power(kernel.matrix, t)[0]
+        sep = float(np.max(1.0 - power / analysis.stationary))
+        assert abs(law.cdf(t) - (1.0 - sep)) <= 1e-10
 
 
 def test_stages_are_cached(gen3, stage_counts):

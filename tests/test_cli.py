@@ -18,8 +18,9 @@ import numpy as np
 import pytest
 
 from ssdual import hypoexp_law
-from ssdual.config import _TRACE_BLOCK
-from ssdual.families import random_initial_law, random_skipfree_kernel
+from ssdual.cli import main
+from ssdual.config import _TRACE_BLOCK, MAX_HORIZON
+from ssdual.families import random_birth_death_kernel, random_initial_law, random_skipfree_kernel
 
 from conftest import (
     BD3_MATRIX,
@@ -342,6 +343,29 @@ def test_series_horizon_must_be_a_nonnegative_time(chain_file, command, matrix, 
     assert r.returncode == 2
     assert "--t-max must be a finite nonnegative number" in r.stderr
     assert "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["verify", "--samples", "2000", "--horizon", "-1"], 2),
+    (["simulate", "--samples", "2000", "--horizon", "0"], 2),
+    (["absorption", "--t-max", str(4 * MAX_HORIZON)], 3),
+], ids=["verify-horizon", "simulate-horizon", "absorption-t-max"])
+def test_out_of_range_horizons(chain_file, capsys, argv, code):
+    # a horizon below 1 is invalid input, and a discrete series past
+    # MAX_HORIZON steps is refused before its CDF is grown to reach it
+    command, *rest = argv
+    assert main([command, chain_file(BD3_MATRIX), *rest]) == code
+    assert "horizon" in capsys.readouterr().err
+
+
+def test_overflowing_link_exits_6(chain_file, capsys):
+    # the link's recurrence overflows at row 682; its target column once held
+    # NaN and infinities and gave a numeric_cdf law with a NaN mean (exit 0)
+    n = 700
+    path = chain_file(random_birth_death_kernel(np.random.default_rng(0), n, lazy=True),
+                      initial=random_initial_law(np.random.default_rng(1), n).tolist())
+    assert main(["absorption", path]) == 6
+    assert "link row 682 is not finite" in capsys.readouterr().err
 
 
 class TestOutput:

@@ -159,6 +159,14 @@ class TestVerify:
         with pytest.raises(ValueError, match="samples must be positive"):
             verify(bd3, samples=samples, seed=1)
 
+    @pytest.mark.parametrize("horizon", [0, -1])
+    def test_horizon_must_be_positive(self, bd3, ct21, horizon):
+        # once every trace counted as a horizon hit, and verify raised
+        # InsufficientSamples for want of a completed trace
+        for chain in (bd3, ct21):
+            with pytest.raises(ValueError, match="horizon must be at least 1"):
+                verify(chain, samples=2000, seed=0, horizon=horizon)
+
     def test_horizon_hits_fail_the_run(self, bd3):
         rep = verify(bd3, mode="skipfree", samples=2000, seed=2, horizon=4)
         assert rep.horizon_hits > 0

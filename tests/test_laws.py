@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ssdual import (
+    Analysis,
     DiscreteAbsorptionLaw,
+    HorizonExceeded,
     ImaginaryResidue,
     MonotoneHypothesisFails,
     NotErgodic,
@@ -30,6 +34,7 @@ from ssdual import (
     stationary_law,
     uniformize,
 )
+from ssdual.config import MAX_HORIZON
 from ssdual.families import (
     random_birth_death_generator,
     random_birth_death_kernel,
@@ -146,6 +151,35 @@ class TestDiscreteAbsorptionLaw:
     def test_level_weights_must_reach_one(self):
         with pytest.raises(PreconditionError):
             DiscreteAbsorptionLaw(np.array([0.5]), np.array([0.2, 0.8]))
+
+    @pytest.mark.parametrize("thetas, level_weights", [
+        ([0.5, 0.25], [0.0, 0.0, np.nan]),  # once snapped to 1: a geometric convolution
+        ([0.5, 0.25], [np.nan, 0.5, 1.0]),  # once a NaN mean
+        ([0.5, np.nan], [0.0, 0.0, 1.0]),
+    ])
+    def test_law_inputs_must_be_finite(self, thetas, level_weights):
+        with pytest.raises(ValueError, match="finite"):
+            DiscreteAbsorptionLaw(np.array(thetas), np.array(level_weights))
+
+    def test_cdf_past_horizon_raises_before_allocating(self, bd3):
+        law = absorption_law(bd3)
+        for evaluate in (law.cdf, law.pmf):
+            with pytest.raises(HorizonExceeded, match="exceeds"):
+                evaluate(4 * MAX_HORIZON)
+            with pytest.raises(HorizonExceeded):
+                evaluate(np.array([3, MAX_HORIZON + 1]))
+        assert not {"_baby", "_rows"} & set(vars(law))
+
+    @pytest.mark.parametrize("law", ["absorption_law", "sst_law"])
+    def test_nan_target_column_breaks_down(self, gen3, erg3, law):
+        # off the skip-free-from-0 route the law reads the link; a NaN at its
+        # top is a breakdown, though NaN > tol is false
+        analysis = Analysis(gen3) if law == "absorption_law" else Analysis(erg3, [0.0, 1.0, 0.0])
+        rows = analysis.link.rows.copy()
+        rows[:, -1] = np.nan
+        analysis.link = replace(analysis.link, rows=rows)
+        with pytest.raises(NumericalBreakdown, match="does not reach 1"):
+            getattr(analysis, law)()
 
     @pytest.mark.parametrize("family, seed, n", [
         (random_birth_death_kernel, 0, 30),  # residual 4.5e-5
